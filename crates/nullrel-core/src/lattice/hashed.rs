@@ -1,21 +1,37 @@
-//! Hash-accelerated lattice operations using an inverted cell index.
+//! Hash-accelerated lattice operations.
 //!
 //! Section 4 observes that a simple-minded implementation of the difference
 //! and x-intersection has an `O(|R₁| · |R₂|)` upper bound, and points to
 //! "more sophisticated techniques, such as combinatorial hashing", both for
-//! the set operations and for reducing relations to minimal form. The
-//! [`TupleIndex`] here is such a technique: an inverted index from non-null
-//! cells `(attribute, value)` to the tuples containing them. A tuple `t` is
-//! dominated by some indexed tuple iff the intersection of the posting lists
-//! of all of `t`'s cells is non-empty, which touches only tuples sharing at
-//! least one cell with `t` instead of the whole relation.
+//! the set operations and for reducing relations to minimal form. This
+//! module holds two such techniques.
+//!
+//! **Reduction to minimal form** ([`minimal`]) partitions the tuples by
+//! *signature* — the set of attributes with a non-null cell. `r` is strictly
+//! more informative than `t` iff `sig(t) ⊊ sig(r)` and `r` restricted to
+//! `sig(t)` equals `t`, so only a pair of signatures `S ⊊ Q` that are both
+//! present can hold a dominated tuple: the `Q` tuples are hashed on their
+//! `S` cells once and every `S` tuple is one probe. A tuple whose signature
+//! has no present strict superset is kept without any probe, which is every
+//! tuple of a total (Codd) relation. The cost is `O(n · s)` hash operations
+//! for `s` distinct signatures that have a present superset, on top of the
+//! sort into canonical order. It is the one minimiser the engine's sink, the
+//! parallel merge and the join preparations share; the quadratic
+//! [`crate::xrel::minimize`] and [`super::naive::minimal`] stay as the
+//! oracle the differential tests compare it with.
+//!
+//! **Subsumption probes** against a fixed relation (difference, containment,
+//! division) go through [`TupleIndex`], an inverted index from non-null
+//! cells `(attribute, value)` to the ascending list of tuples containing
+//! them. The indexed tuples more informative than `t` are the intersection
+//! of the posting lists of `t`'s cells, walked from the shortest list.
 //!
 //! Benchmark **E9** compares these implementations against the
 //! [`super::naive`] reference on synthetic workloads.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 use crate::tuple::Tuple;
 use crate::universe::AttrId;
@@ -30,6 +46,8 @@ use crate::xrel::XRelation;
 #[derive(Debug, Clone)]
 pub struct TupleIndex {
     tuples: Vec<Tuple>,
+    /// Per cell, the indices of the tuples holding it: ascending, because
+    /// `build` visits the tuples in order.
     postings: HashMap<(AttrId, Value), Vec<usize>>,
 }
 
@@ -63,72 +81,145 @@ impl TupleIndex {
         &self.tuples
     }
 
-    /// Returns the indices of indexed tuples that are **more informative
-    /// than** `t` (i.e. dominate it, `r ≥ t`), computed as the intersection
-    /// of the posting lists of `t`'s cells. For the null tuple every indexed
-    /// tuple dominates it.
-    pub fn dominators(&self, t: &Tuple) -> Vec<usize> {
-        let mut cells = t.cells();
-        let first = match cells.next() {
-            // The null tuple is dominated by every tuple.
-            None => return (0..self.tuples.len()).collect(),
-            Some(cell) => cell,
-        };
-        let mut candidates: Vec<usize> = match self.postings.get(&(first.0, first.1.clone())) {
-            Some(list) => list.clone(),
-            None => return Vec::new(),
-        };
-        for (attr, value) in cells {
-            if candidates.is_empty() {
-                return candidates;
-            }
-            match self.postings.get(&(attr, value.clone())) {
-                None => return Vec::new(),
-                Some(list) => {
-                    let set: HashSet<usize> = list.iter().copied().collect();
-                    candidates.retain(|i| set.contains(i));
-                }
-            }
+    /// The posting lists of `t`'s cells, shortest first; `None` when some
+    /// cell occurs in no indexed tuple. Empty for the null tuple.
+    fn posting_lists(&self, t: &Tuple) -> Option<Vec<&[usize]>> {
+        let mut lists = Vec::with_capacity(t.defined_len());
+        for (attr, value) in t.cells() {
+            lists.push(self.postings.get(&(attr, value.clone()))?.as_slice());
         }
-        candidates
+        if let Some(shortest) = (0..lists.len()).min_by_key(|&i| lists[i].len()) {
+            lists.swap(0, shortest);
+        }
+        Some(lists)
+    }
+
+    /// Returns the indices of indexed tuples that are **more informative
+    /// than** `t` (i.e. dominate it, `r ≥ t`), ascending: the members of the
+    /// shortest posting list of `t`'s cells that binary search finds in
+    /// every other one. For the null tuple every indexed tuple dominates it.
+    pub fn dominators(&self, t: &Tuple) -> Vec<usize> {
+        let Some(lists) = self.posting_lists(t) else {
+            return Vec::new();
+        };
+        match lists.split_first() {
+            None => (0..self.tuples.len()).collect(),
+            Some((shortest, rest)) => shortest
+                .iter()
+                .copied()
+                .filter(|i| in_all(rest, *i))
+                .collect(),
+        }
     }
 
     /// True if some indexed tuple is more informative than `t`
     /// (x-membership, Proposition 4.2).
     pub fn x_contains(&self, t: &Tuple) -> bool {
-        !self.dominators(t).is_empty()
-    }
-
-    /// True if some indexed tuple **other than the occurrence at
-    /// `excluding`** is more informative than `t`. Used during minimisation,
-    /// where a tuple must not count as its own dominator.
-    pub fn dominated_excluding(&self, t: &Tuple, excluding: usize) -> bool {
-        self.dominators(t).into_iter().any(|i| i != excluding)
+        let Some(lists) = self.posting_lists(t) else {
+            return false;
+        };
+        match lists.split_first() {
+            None => !self.tuples.is_empty(),
+            Some((shortest, rest)) => shortest.iter().any(|i| in_all(rest, *i)),
+        }
     }
 }
 
-/// Reduces tuples to minimal form using the cell index.
+/// True if every ascending list holds `i`.
+fn in_all(lists: &[&[usize]], i: usize) -> bool {
+    lists.iter().all(|list| list.binary_search(&i).is_ok())
+}
+
+/// A tuple seen through the attributes `on`, all of which it defines: equal
+/// and hashed on those cells alone, so a tuple of signature `on` and a more
+/// informative tuple that agrees with it collide.
+struct Restricted<'a> {
+    tuple: &'a Tuple,
+    on: &'a [AttrId],
+}
+
+impl Restricted<'_> {
+    fn cells(&self) -> impl Iterator<Item = Option<&Value>> + '_ {
+        self.on.iter().map(|attr| self.tuple.get(*attr))
+    }
+}
+
+impl PartialEq for Restricted<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cells().eq(other.cells())
+    }
+}
+
+impl Eq for Restricted<'_> {}
+
+impl Hash for Restricted<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for cell in self.cells() {
+            cell.hash(state);
+        }
+    }
+}
+
+/// The distinct non-null tuples in canonical sorted order: the first step of
+/// [`minimal`], and what a caller holds at once while it reduces. The
+/// canonical order is owed anyway, and it puts equal tuples side by side, so
+/// they collapse without a table of their own. Sorted input costs one linear
+/// pass, and inputs of at most one tuple return without allocating.
+pub fn distinct(mut tuples: Vec<Tuple>) -> Vec<Tuple> {
+    tuples.retain(|t| !t.is_null_tuple());
+    if tuples.len() > 1 {
+        tuples.sort();
+        tuples.dedup();
+    }
+    tuples
+}
+
+/// Reduces tuples to minimal form (Definition 4.6) — no null tuple, no
+/// duplicate, no tuple strictly less informative than another — in canonical
+/// sorted order, by the signature partitioning the module doc describes.
+///
+/// Inputs of at most one tuple return without allocating. Probing a bucket
+/// against *every* tuple of a superset signature, dropped or not, is sound
+/// because domination is transitive: whatever dominates a dropped tuple
+/// dominates the tuples below it too.
 pub fn minimal(tuples: Vec<Tuple>) -> Vec<Tuple> {
-    // Set-dedupe first so that equal tuples do not knock each other out.
-    let mut seen: HashSet<Tuple> = HashSet::with_capacity(tuples.len());
-    let mut deduped: Vec<Tuple> = Vec::with_capacity(tuples.len());
-    for t in tuples {
-        if t.is_null_tuple() {
-            continue;
-        }
-        if seen.insert(t.clone()) {
-            deduped.push(t);
+    let mut tuples = distinct(tuples);
+    if tuples.len() < 2 {
+        return tuples;
+    }
+    let mut buckets: HashMap<Vec<AttrId>, Vec<usize>> = HashMap::new();
+    let mut signature: Vec<AttrId> = Vec::new();
+    for (i, t) in tuples.iter().enumerate() {
+        signature.clear();
+        signature.extend(t.cells().map(|(attr, _)| attr));
+        match buckets.get_mut(signature.as_slice()) {
+            Some(bucket) => bucket.push(i),
+            None => {
+                buckets.insert(signature.clone(), vec![i]);
+            }
         }
     }
-    let index = TupleIndex::build(&deduped);
-    let mut keep = Vec::with_capacity(deduped.len());
-    for (i, t) in deduped.iter().enumerate() {
-        if !index.dominated_excluding(t, i) {
-            keep.push(t.clone());
+    let mut dominated = vec![false; tuples.len()];
+    for (on, bucket) in &buckets {
+        for (wider, candidates) in &buckets {
+            let strict_superset =
+                on.len() < wider.len() && on.iter().all(|a| wider.binary_search(a).is_ok());
+            if !strict_superset {
+                continue;
+            }
+            let restricted = |i: &usize| Restricted {
+                tuple: &tuples[*i],
+                on,
+            };
+            let table: HashSet<Restricted<'_>> = candidates.iter().map(restricted).collect();
+            for i in bucket {
+                dominated[*i] = dominated[*i] || table.contains(&restricted(i));
+            }
         }
     }
-    keep.sort();
-    keep
+    let mut dominated = dominated.into_iter();
+    tuples.retain(|_| !dominated.next().expect("one flag per tuple"));
+    tuples
 }
 
 /// Merges per-partition antichains into the single global antichain their
@@ -138,10 +229,9 @@ pub fn minimal(tuples: Vec<Tuple>) -> Vec<Tuple> {
 /// dominated by another tuple *of the same part*); debug builds verify the
 /// claim. Parallel runtimes produce exactly this shape: every worker
 /// reduces its morsel locally, and only tuples from *different* parts can
-/// still dominate one another. The merge is therefore a cross-partition
-/// subsumption sweep: deduplicate across parts, build one inverted cell
-/// index over the survivors, and keep every tuple with no dominator other
-/// than itself.
+/// still dominate one another. The merge is [`minimal`] over the
+/// concatenation of the parts, which collapses the cross-part duplicates
+/// and drops every tuple a tuple of another part dominates.
 ///
 /// **Correctness.** Minimisation is determined by the *set* of input
 /// tuples, not by any partitioning of it: `⌈R⌉` keeps exactly the tuples of
@@ -151,42 +241,15 @@ pub fn minimal(tuples: Vec<Tuple>) -> Vec<Tuple> {
 /// the local survivor that witnessed the drop either survives globally or
 /// is itself dominated by a global survivor. Hence
 /// `merge_antichains(partition(R)) = minimal(R)` for **every** partitioning
-/// of `R`, including the trivial one (`k = 1`, where the sweep finds
-/// nothing to drop). The parallel-runtime proptests exercise this equality
+/// of `R`, including the trivial one (`k = 1`, where nothing is left to
+/// drop). The parallel-runtime proptests exercise this equality
 /// over arbitrary partitionings in both truth bands.
 pub fn merge_antichains(parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {
     debug_assert!(
         parts.iter().all(|p| crate::xrel::is_antichain(p)),
         "merge_antichains called with a non-antichain part"
     );
-    let mut parts = parts;
-    // Fast path: one part is already globally minimal.
-    if parts.len() == 1 {
-        let mut only = parts.pop().expect("checked length");
-        only.sort();
-        return only;
-    }
-    // Cross-part deduplication (a tuple may appear in several parts).
-    let total: usize = parts.iter().map(Vec::len).sum();
-    let mut seen: HashSet<Tuple> = HashSet::with_capacity(total);
-    let mut deduped: Vec<Tuple> = Vec::with_capacity(total);
-    for part in parts {
-        for t in part {
-            if seen.insert(t.clone()) {
-                deduped.push(t);
-            }
-        }
-    }
-    // The cross-partition subsumption sweep proper.
-    let index = TupleIndex::build(&deduped);
-    let mut keep = Vec::with_capacity(deduped.len());
-    for (i, t) in deduped.iter().enumerate() {
-        if !index.dominated_excluding(t, i) {
-            keep.push(t.clone());
-        }
-    }
-    keep.sort();
-    keep
+    minimal(parts.into_iter().flatten().collect())
 }
 
 /// Union per (4.6), hash-accelerated.
@@ -279,15 +342,6 @@ mod tests {
         // x_contains mirrors dominators.
         assert!(index.x_contains(&sp(s, p, None, Some("p1"))));
         assert!(!index.x_contains(&sp(s, p, Some("s9"), None)));
-    }
-
-    #[test]
-    fn dominated_excluding_ignores_self() {
-        let (_u, s, p, _q) = setup();
-        let tuples = vec![sp(s, p, Some("s1"), None), sp(s, p, Some("s2"), Some("p2"))];
-        let index = TupleIndex::build(&tuples);
-        assert!(!index.dominated_excluding(&tuples[0], 0));
-        assert!(index.dominated_excluding(&sp(s, p, Some("s2"), None), 5));
     }
 
     #[test]

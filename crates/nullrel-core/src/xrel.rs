@@ -61,7 +61,7 @@ impl XRelation {
 
     /// Builds an x-relation from tuples the caller guarantees to be an
     /// antichain (no null tuple, no tuple subsumed by another). Streaming
-    /// operators that maintain minimality incrementally use this to avoid a
+    /// operators that have already reduced their output use this to avoid a
     /// quadratic re-minimisation at the end; debug builds verify the claim.
     pub fn from_antichain(tuples: Vec<Tuple>) -> Self {
         XRelation::from_minimal_unchecked(tuples)

@@ -25,8 +25,8 @@
 //!   seed's tree-walk fallback is gone, so nothing in a pipeline ever
 //!   re-enters `Expr::eval`.
 //!
-//! Every pipeline is rooted in a [`MinimizeOp`] sink, which maintains the
-//! canonical minimal x-relation representation incrementally.
+//! Every pipeline is rooted in a [`MinimizeOp`] sink, which reduces the
+//! drained result to the canonical minimal x-relation representation.
 //!
 //! In the TRUE band the compiler annotates every operator's stats slot
 //! with the optimizer's cardinality estimate (`est_rows`), so explain

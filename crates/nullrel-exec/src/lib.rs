@@ -26,8 +26,8 @@
 //!   [`ScanStats`](nullrel_storage::scan::ScanStats). There is no tree-walk
 //!   fallback: every `Expr` node streams;
 //! * [`Pipeline::run`] — pulls tuples through the operator tree into the
-//!   streaming [`MinimizeOp`] sink, which maintains the canonical minimal
-//!   x-relation representation incrementally.
+//!   [`MinimizeOp`] sink, which reduces them to the canonical minimal
+//!   x-relation representation.
 //!
 //! The MAYBE band is requested through [`compile_band`] with
 //! [`Truth::Ni`](nullrel_core::tvl::Truth): filters then keep the rows

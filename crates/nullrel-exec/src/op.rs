@@ -32,9 +32,9 @@
 //!   the dangling (non-participating) tuples of both sides.
 //! * [`DivisionOp`] — the Y-quotient `R̂(÷Y)Ŝ` (Section 6), hash-grouped on
 //!   the quotient attributes with an indexed x-membership check.
-//! * [`MinimizeOp`] — the sink: maintains the canonical minimal x-relation
-//!   representation incrementally (an antichain under the information
-//!   ordering) instead of re-minimising a materialised result.
+//! * [`MinimizeOp`] — the sink: drains its input and reduces it to the
+//!   canonical minimal x-relation representation (an antichain under the
+//!   information ordering) with the signature-hashed minimiser.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -43,7 +43,7 @@ use std::rc::Rc;
 
 use nullrel_core::algebra::{equijoin_parts, normalize_on, ChainStream, TupleStream};
 use nullrel_core::error::{CoreError, CoreResult};
-use nullrel_core::lattice::hashed::{minimal, TupleIndex};
+use nullrel_core::lattice::hashed::{distinct, minimal, TupleIndex};
 use nullrel_core::predicate::Predicate;
 use nullrel_core::tuple::Tuple;
 use nullrel_core::tvl::Truth;
@@ -886,25 +886,19 @@ impl TupleStream for DivisionOp<'_> {
     }
 }
 
-/// The pipeline sink: incrementally maintains the canonical minimal
-/// representation (Definition 4.6) of everything it has consumed.
+/// The pipeline sink: reduces everything it consumes to the canonical
+/// minimal representation (Definition 4.6).
 ///
-/// For each incoming tuple: exact duplicates and tuples subsumed by an
-/// already-kept tuple are discarded; kept tuples that the newcomer subsumes
-/// are evicted. The retained set is an antichain at all times, so the final
-/// [`nullrel_core::xrel::XRelation`] can be built without re-minimising.
+/// A pipeline breaker: the input is drained in full, then sorted, deduped
+/// ([`distinct`]) and reduced by the signature-hashed [`minimal`]. The emitted
+/// rows are an antichain, so the final [`nullrel_core::xrel::XRelation`]
+/// can be built without re-minimising.
 pub struct MinimizeOp<'a> {
     input: BoxedOp<'a>,
-    kept: Vec<Tuple>,
-    seen: HashSet<Tuple>,
+    /// The drained input; once `drained`, the antichain in reverse, so
+    /// that `pop` moves the rows out in canonical order.
+    rows: Vec<Tuple>,
     drained: bool,
-    emit: usize,
-    /// High-water mark of the antichain: rows and estimated bytes held
-    /// at once (the antichain can shrink when a newcomer evicts
-    /// dominated tuples, so the peak may exceed the final size).
-    peak_rows: usize,
-    kept_bytes: usize,
-    peak_bytes: usize,
     stats: StatsSlot,
 }
 
@@ -913,38 +907,10 @@ impl<'a> MinimizeOp<'a> {
     pub fn new(input: BoxedOp<'a>, stats: StatsSlot) -> Self {
         MinimizeOp {
             input,
-            kept: Vec::new(),
-            seen: HashSet::new(),
+            rows: Vec::new(),
             drained: false,
-            emit: 0,
-            peak_rows: 0,
-            kept_bytes: 0,
-            peak_bytes: 0,
             stats,
         }
-    }
-
-    fn absorb(&mut self, t: Tuple) {
-        if t.is_null_tuple() || self.seen.contains(&t) {
-            return;
-        }
-        if self.kept.iter().any(|k| k.more_informative_than(&t)) {
-            return;
-        }
-        let kept_bytes = &mut self.kept_bytes;
-        self.kept.retain(|k| {
-            let evict = t.more_informative_than(k);
-            if evict {
-                self.seen.remove(k);
-                *kept_bytes = kept_bytes.saturating_sub(approx_tuple_bytes(k));
-            }
-            !evict
-        });
-        self.kept_bytes += approx_tuple_bytes(&t);
-        self.seen.insert(t.clone());
-        self.kept.push(t);
-        self.peak_rows = self.peak_rows.max(self.kept.len());
-        self.peak_bytes = self.peak_bytes.max(self.kept_bytes);
     }
 }
 
@@ -953,19 +919,24 @@ impl TupleStream for MinimizeOp<'_> {
         if !self.drained {
             while let Some(t) = self.input.next_tuple()? {
                 self.stats.borrow_mut().rows_in += 1;
-                self.absorb(t);
+                self.rows.push(t);
             }
             self.drained = true;
+            let _span = nullrel_obs::span("minimize", "pipeline");
+            // The high-water mark: the distinct non-null input, all of it
+            // held until the reduction has seen the last row. `minimal`
+            // finds it sorted, so its own `distinct` is one linear pass.
+            let rows = distinct(std::mem::take(&mut self.rows));
+            let held_rows = rows.len();
+            let held_bytes = rows.iter().map(approx_tuple_bytes).sum();
+            let mut kept = minimal(rows);
             let mut stats = self.stats.borrow_mut();
-            stats.rows_out = self.kept.len();
-            stats.note_mem(self.peak_rows, self.peak_bytes);
+            stats.rows_out = kept.len();
+            stats.note_mem(held_rows, held_bytes);
+            kept.reverse();
+            self.rows = kept;
         }
-        if self.emit < self.kept.len() {
-            let t = self.kept[self.emit].clone();
-            self.emit += 1;
-            return Ok(Some(t));
-        }
-        Ok(None)
+        Ok(self.rows.pop())
     }
 }
 
@@ -1193,7 +1164,7 @@ mod tests {
     }
 
     #[test]
-    fn minimize_maintains_an_antichain_incrementally() {
+    fn minimize_reduces_to_an_antichain() {
         let (_u, s, p) = setup();
         let dominated = Tuple::new().with(s, Value::str("s1"));
         let dominating = Tuple::new()
@@ -1218,6 +1189,32 @@ mod tests {
         );
         assert_eq!(stats.borrow().rows_in, 5);
         assert_eq!(stats.borrow().rows_out, 1);
+        assert_eq!(stats.borrow().mem_rows, 2, "the distinct non-null input");
+    }
+
+    /// An upstream error neither loses the rows drained so far nor passes
+    /// for the end of an empty result.
+    #[test]
+    fn minimize_survives_an_upstream_error() {
+        struct FailSecond(VecStream, usize);
+        impl TupleStream for FailSecond {
+            fn next_tuple(&mut self) -> CoreResult<Option<Tuple>> {
+                self.1 += 1;
+                if self.1 == 2 {
+                    return Err(CoreError::Invariant("upstream".into()));
+                }
+                self.0.next_tuple()
+            }
+        }
+        let (_u, s, p) = setup();
+        let stats = slot();
+        let input = FailSecond(VecStream::new(ps_rows(s, p)), 0);
+        let mut sink = MinimizeOp::new(Box::new(input), Rc::clone(&stats));
+        assert!(matches!(sink.next_tuple(), Err(CoreError::Invariant(_))));
+        assert_eq!(stats.borrow().rows_in, 1, "the row before the error");
+        let out = sink.drain_all().unwrap();
+        assert_eq!(out.len(), 4, "only (s2, ni) is subsumed: nothing was lost");
+        assert_eq!(stats.borrow().rows_in, 5);
     }
 
     #[test]

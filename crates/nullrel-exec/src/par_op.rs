@@ -23,8 +23,8 @@
 //!   drain-heavy lattice operators: one side becomes a shared read-only
 //!   build structure, the probe side fans out in morsels.
 //! * [`ParMinimizeOp`] — the partitioned sink: per-morsel local antichains
-//!   reduced by the `nullrel-core` cross-partition subsumption sweep
-//!   (`merge_antichains`), which provably equals the serial reduction.
+//!   merged by `nullrel-core`'s `merge_antichains`, which provably equals
+//!   the serial reduction.
 //!
 //! All per-worker counters land in the operator's [`OpStats`] slot and are
 //! rendered by `explain` as `par=N workers=[in/out …]`.
@@ -516,10 +516,9 @@ impl TupleStream for ParDivisionOp<'_> {
 }
 
 /// The partitioned pipeline sink: drains the input, reduces per-morsel
-/// local antichains in parallel, and merges them through the
-/// cross-partition subsumption sweep into the canonical minimal
-/// representation — exactly the antichain the serial [`MinimizeOp`]
-/// maintains incrementally.
+/// local antichains in parallel, and merges them (`merge_antichains`)
+/// into the canonical minimal representation — exactly the antichain the
+/// serial [`MinimizeOp`] emits.
 ///
 /// [`MinimizeOp`]: crate::op::MinimizeOp
 pub struct ParMinimizeOp<'a> {
@@ -552,7 +551,10 @@ impl TupleStream for ParMinimizeOp<'_> {
                 stats.note_mem(rows.len(), rows.iter().map(approx_tuple_bytes).sum());
             }
             let morsel = adaptive_morsel_rows(rows.len(), self.pool.degree());
-            let outcome = par_minimize(rows, &self.pool, morsel)?;
+            let outcome = {
+                let _span = nullrel_obs::span("minimize", "pipeline");
+                par_minimize(rows, &self.pool, morsel)?
+            };
             self.stats.borrow_mut().absorb_workers(&outcome.workers);
             self.buffered = Some(Buffered::new(outcome.rows, &self.stats));
         }

@@ -16,9 +16,9 @@
 //!   fast workers absorb skew).
 //! * [`stage`] — embarrassingly parallel pipeline stages over morsels:
 //!   three-valued filtering, projection, and the **partitioned minimise**
-//!   (per-morsel local antichains reduced by the
-//!   [`nullrel_core::lattice::hashed::merge_antichains`] cross-partition
-//!   subsumption sweep, which provably equals the serial reduction).
+//!   (per-morsel local antichains merged by
+//!   [`nullrel_core::lattice::hashed::merge_antichains`], which provably
+//!   equals the serial reduction).
 //! * [`join`] — partitioned equality joins: both inputs are split by the
 //!   hash of the **normalized** join key (`Int(2)` and `Float(2.0)` land in
 //!   the same partition, matching the engine's domain-aware equality), and

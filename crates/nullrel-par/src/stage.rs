@@ -4,10 +4,10 @@
 //! Each stage splits its input into contiguous morsels, runs the per-morsel
 //! work on the [`pool`](crate::pool) scheduler, and concatenates the morsel
 //! outputs in order — so results are identical to the serial stage at every
-//! degree of parallelism. The minimise stage additionally reduces the
-//! per-morsel local antichains through the cross-partition subsumption
-//! sweep [`nullrel_core::lattice::hashed::merge_antichains`], which equals
-//! the serial global reduction for every partitioning of the input.
+//! degree of parallelism. The minimise stage additionally merges the
+//! per-morsel local antichains with
+//! [`nullrel_core::lattice::hashed::merge_antichains`], which equals the
+//! serial global reduction for every partitioning of the input.
 
 use std::sync::Arc;
 
@@ -142,9 +142,9 @@ pub fn par_project(
 }
 
 /// The partitioned minimise: every morsel is reduced to its local
-/// antichain in parallel, and the local antichains are merged by the
-/// cross-partition subsumption sweep — yielding exactly the canonical
-/// minimal representation the serial sink maintains.
+/// antichain in parallel by the signature-hashed `minimal`, and the same
+/// routine over the concatenated antichains (`merge_antichains`) yields
+/// exactly the canonical minimal representation the serial sink emits.
 pub fn par_minimize(
     rows: Vec<Tuple>,
     pool: &QueryPool,

@@ -164,7 +164,10 @@ fn explain_analyze_covers_every_star_join_operator() {
 #[test]
 fn chrome_trace_of_parallel_run_has_one_lane_per_worker() {
     let _guard = global_obs_lock();
-    let db = star_db(400);
+    // 4 000 fact rows, not e13's 400: every stage then outlasts a
+    // scheduler time slice, so all four workers get to claim a morsel even
+    // on a two-core host (at 400 rows the hashed minimise is over first).
+    let db = star_db(4000);
     let plan = star_plan(&db);
     let options = OptimizeOptions {
         parallelism: Parallelism::Threads(4),
