@@ -13,8 +13,12 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use nullrel_core::algebra::NoSource;
+use nullrel_core::tvl::Truth;
 use nullrel_core::value::Value;
-use nullrel_query::{execute, execute_resolved, execute_resolved_naive, parse, resolve};
+use nullrel_exec::{execute, OptimizeOptions};
+use nullrel_query::plan::plan;
+use nullrel_query::{execute_resolved_naive, parse, resolve, run};
 use nullrel_storage::{Database, SchemaBuilder};
 
 const JOIN_QUERY: &str = "range of e is EMP range of m is EMP retrieve (e.NAME) \
@@ -58,7 +62,8 @@ fn bench_e12(c: &mut Criterion) {
         // Differential check before measuring: same minimal x-relation,
         // and the engine really uses a hash join.
         let naive = execute_resolved_naive(&resolved).expect("naive evaluates");
-        let engine = execute(&db, JOIN_QUERY).expect("engine evaluates");
+        let engine = run(&db, JOIN_QUERY, Truth::True, OptimizeOptions::default())
+            .expect("engine evaluates");
         assert_eq!(naive.rows, engine.rows, "engine must agree with the oracle");
         assert!(
             engine.stats.used_hash_join(),
@@ -81,12 +86,35 @@ fn bench_e12(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("physical_pipeline_literal", n),
             &resolved,
-            |b, resolved| b.iter(|| execute_resolved(black_box(resolved)).unwrap()),
+            |b, resolved| {
+                b.iter(|| {
+                    let resolved = black_box(resolved);
+                    let options = OptimizeOptions::default();
+                    execute(
+                        &plan(resolved),
+                        &NoSource,
+                        &resolved.universe,
+                        Truth::True,
+                        options,
+                    )
+                    .unwrap()
+                })
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("physical_pipeline_catalog", n),
             &db,
-            |b, db| b.iter(|| execute(black_box(db), JOIN_QUERY).unwrap()),
+            |b, db| {
+                b.iter(|| {
+                    run(
+                        black_box(db),
+                        JOIN_QUERY,
+                        Truth::True,
+                        OptimizeOptions::default(),
+                    )
+                    .unwrap()
+                })
+            },
         );
     }
 
@@ -94,19 +122,37 @@ fn bench_e12(c: &mut Criterion) {
     let mut db = emp_database(1_000);
     let point = "range of e is EMP retrieve (e.NAME) where e.E# = 777";
     group.bench_with_input(BenchmarkId::new("point_query_scan", 1_000), &db, |b, db| {
-        b.iter(|| execute(black_box(db), point).unwrap())
+        b.iter(|| {
+            run(
+                black_box(db),
+                point,
+                Truth::True,
+                OptimizeOptions::default(),
+            )
+            .unwrap()
+        })
     });
     let e_no = db.universe().lookup("E#").expect("interned");
     db.table_mut("EMP")
         .expect("exists")
         .create_index(vec![e_no])
         .expect("indexable");
-    let indexed = execute(&db, point).expect("evaluates");
+    let indexed = run(&db, point, Truth::True, OptimizeOptions::default()).expect("evaluates");
     assert!(indexed.stats.used_index());
     group.bench_with_input(
         BenchmarkId::new("point_query_index", 1_000),
         &db,
-        |b, db| b.iter(|| execute(black_box(db), point).unwrap()),
+        |b, db| {
+            b.iter(|| {
+                run(
+                    black_box(db),
+                    point,
+                    Truth::True,
+                    OptimizeOptions::default(),
+                )
+                .unwrap()
+            })
+        },
     );
     group.finish();
 }

@@ -22,10 +22,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use nullrel_core::algebra::Expr;
 use nullrel_core::predicate::Predicate;
-use nullrel_core::tvl::CompareOp;
+use nullrel_core::tvl::{CompareOp, Truth};
 use nullrel_core::universe::AttrId;
 use nullrel_core::value::Value;
-use nullrel_exec::{execute_expr, execute_expr_with, JoinOrdering, OptimizeOptions};
+use nullrel_exec::{execute, JoinOrdering, OptimizeOptions};
 use nullrel_storage::{Database, SchemaBuilder};
 
 fn declaration_options() -> OptimizeOptions {
@@ -135,10 +135,23 @@ fn bench_e13(c: &mut Criterion) {
     let small = star_db(24);
     let small_plan = star_plan(&small);
     let oracle = small_plan.eval(&small).expect("oracle evaluates");
-    let (cost_based, stats) = execute_expr(&small_plan, &small, small.universe()).unwrap();
+    let (cost_based, stats) = execute(
+        &small_plan,
+        &small,
+        small.universe(),
+        Truth::True,
+        OptimizeOptions::default(),
+    )
+    .unwrap();
     assert_eq!(cost_based, oracle, "cost-based plan must match the oracle");
-    let (declaration, _) =
-        execute_expr_with(&small_plan, &small, small.universe(), declaration_options()).unwrap();
+    let (declaration, _) = execute(
+        &small_plan,
+        &small,
+        small.universe(),
+        Truth::True,
+        declaration_options(),
+    )
+    .unwrap();
     assert_eq!(
         declaration, oracle,
         "declaration order must match the oracle"
@@ -152,7 +165,16 @@ fn bench_e13(c: &mut Criterion) {
         black_box(star_plan(&small).eval(&small).unwrap());
     });
     let engine_t = median(5, || {
-        black_box(execute_expr(&small_plan, &small, small.universe()).unwrap());
+        black_box(
+            execute(
+                &small_plan,
+                &small,
+                small.universe(),
+                Truth::True,
+                OptimizeOptions::default(),
+            )
+            .unwrap(),
+        );
     });
     println!(
         "E13 n=24: engine {:.3?} vs naive tree-walk {:.3?} — {:.0}× faster",
@@ -167,15 +189,47 @@ fn bench_e13(c: &mut Criterion) {
     for n in [50usize, 200] {
         let db = star_db(n);
         let plan = star_plan(&db);
-        let (a, _) = execute_expr(&plan, &db, db.universe()).unwrap();
-        let (b, _) = execute_expr_with(&plan, &db, db.universe(), declaration_options()).unwrap();
+        let (a, _) = execute(
+            &plan,
+            &db,
+            db.universe(),
+            Truth::True,
+            OptimizeOptions::default(),
+        )
+        .unwrap();
+        let (b, _) = execute(
+            &plan,
+            &db,
+            db.universe(),
+            Truth::True,
+            declaration_options(),
+        )
+        .unwrap();
         assert_eq!(a, b, "plan choice must not change the result (n={n})");
 
         let cost_t = median(5, || {
-            black_box(execute_expr(&plan, &db, db.universe()).unwrap());
+            black_box(
+                execute(
+                    &plan,
+                    &db,
+                    db.universe(),
+                    Truth::True,
+                    OptimizeOptions::default(),
+                )
+                .unwrap(),
+            );
         });
         let decl_t = median(5, || {
-            black_box(execute_expr_with(&plan, &db, db.universe(), declaration_options()).unwrap());
+            black_box(
+                execute(
+                    &plan,
+                    &db,
+                    db.universe(),
+                    Truth::True,
+                    declaration_options(),
+                )
+                .unwrap(),
+            );
         });
         let ratio = decl_t.as_secs_f64() / cost_t.as_secs_f64().max(1e-9);
         println!(
@@ -192,15 +246,30 @@ fn bench_e13(c: &mut Criterion) {
         }
 
         group.bench_with_input(BenchmarkId::new("cost_based", n), &db, |b, db| {
-            b.iter(|| execute_expr(&plan, black_box(db), db.universe()).unwrap())
+            b.iter(|| {
+                execute(
+                    &plan,
+                    black_box(db),
+                    db.universe(),
+                    Truth::True,
+                    OptimizeOptions::default(),
+                )
+                .unwrap()
+            })
         });
         group.bench_with_input(
             BenchmarkId::new("declaration_left_deep", n),
             &db,
             |b, db| {
                 b.iter(|| {
-                    execute_expr_with(&plan, black_box(db), db.universe(), declaration_options())
-                        .unwrap()
+                    execute(
+                        &plan,
+                        black_box(db),
+                        db.universe(),
+                        Truth::True,
+                        declaration_options(),
+                    )
+                    .unwrap()
                 })
             },
         );

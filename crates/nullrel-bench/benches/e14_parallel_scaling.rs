@@ -25,10 +25,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use nullrel_core::algebra::Expr;
 use nullrel_core::predicate::Predicate;
-use nullrel_core::tvl::CompareOp;
+use nullrel_core::tvl::{CompareOp, Truth};
 use nullrel_core::universe::AttrId;
 use nullrel_core::value::Value;
-use nullrel_exec::{execute_expr_with, OptimizeOptions, Parallelism};
+use nullrel_exec::{execute, OptimizeOptions, Parallelism};
 use nullrel_query::plan::plan_access;
 use nullrel_query::{parse, resolve};
 use nullrel_storage::{Database, SchemaBuilder};
@@ -176,9 +176,9 @@ fn bench_e14(c: &mut Criterion) {
         let resolved = resolve(&db, &parse(JOIN_QUERY).expect("parses")).expect("resolves");
         let expr = plan_access(&resolved);
         let (serial, _) =
-            execute_expr_with(&expr, &db, &resolved.universe, options(1)).expect("serial runs");
-        let (par, par_stats) =
-            execute_expr_with(&expr, &db, &resolved.universe, options(4)).expect("parallel runs");
+            execute(&expr, &db, &resolved.universe, Truth::True, options(1)).expect("serial runs");
+        let (par, par_stats) = execute(&expr, &db, &resolved.universe, Truth::True, options(4))
+            .expect("parallel runs");
         assert_eq!(
             par,
             serial,
@@ -193,10 +193,14 @@ fn bench_e14(c: &mut Criterion) {
 
         let measure = || {
             let serial_t = median(5, || {
-                black_box(execute_expr_with(&expr, &db, &resolved.universe, options(1)).unwrap());
+                black_box(
+                    execute(&expr, &db, &resolved.universe, Truth::True, options(1)).unwrap(),
+                );
             });
             let par_t = median(5, || {
-                black_box(execute_expr_with(&expr, &db, &resolved.universe, options(4)).unwrap());
+                black_box(
+                    execute(&expr, &db, &resolved.universe, Truth::True, options(4)).unwrap(),
+                );
             });
             (serial_t, par_t)
         };
@@ -219,12 +223,26 @@ fn bench_e14(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("fig2_serial", n), &db, |b, db| {
             b.iter(|| {
-                execute_expr_with(&expr, black_box(db), &resolved.universe, options(1)).unwrap()
+                execute(
+                    &expr,
+                    black_box(db),
+                    &resolved.universe,
+                    Truth::True,
+                    options(1),
+                )
+                .unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("fig2_threads4", n), &db, |b, db| {
             b.iter(|| {
-                execute_expr_with(&expr, black_box(db), &resolved.universe, options(4)).unwrap()
+                execute(
+                    &expr,
+                    black_box(db),
+                    &resolved.universe,
+                    Truth::True,
+                    options(4),
+                )
+                .unwrap()
             })
         });
     }
@@ -250,9 +268,9 @@ fn bench_e14(c: &mut Criterion) {
         let db = star_db(n);
         let plan = star_plan(&db);
         let (serial, _) =
-            execute_expr_with(&plan, &db, db.universe(), options(1)).expect("serial runs");
+            execute(&plan, &db, db.universe(), Truth::True, options(1)).expect("serial runs");
         let (par, par_stats) =
-            execute_expr_with(&plan, &db, db.universe(), options(4)).expect("parallel runs");
+            execute(&plan, &db, db.universe(), Truth::True, options(4)).expect("parallel runs");
         assert_eq!(
             par,
             serial,
@@ -260,20 +278,24 @@ fn bench_e14(c: &mut Criterion) {
             par_stats.render()
         );
         let serial_t = median(5, || {
-            black_box(execute_expr_with(&plan, &db, db.universe(), options(1)).unwrap());
+            black_box(execute(&plan, &db, db.universe(), Truth::True, options(1)).unwrap());
         });
         let par_t = median(5, || {
-            black_box(execute_expr_with(&plan, &db, db.universe(), options(4)).unwrap());
+            black_box(execute(&plan, &db, db.universe(), Truth::True, options(4)).unwrap());
         });
         println!(
             "E14 star n={n}: serial {serial_t:.3?} vs 4 threads {par_t:.3?} — {:.1}×",
             serial_t.as_secs_f64() / par_t.as_secs_f64().max(1e-9)
         );
         group.bench_with_input(BenchmarkId::new("star_serial", n), &db, |b, db| {
-            b.iter(|| execute_expr_with(&plan, black_box(db), db.universe(), options(1)).unwrap())
+            b.iter(|| {
+                execute(&plan, black_box(db), db.universe(), Truth::True, options(1)).unwrap()
+            })
         });
         group.bench_with_input(BenchmarkId::new("star_threads4", n), &db, |b, db| {
-            b.iter(|| execute_expr_with(&plan, black_box(db), db.universe(), options(4)).unwrap())
+            b.iter(|| {
+                execute(&plan, black_box(db), db.universe(), Truth::True, options(4)).unwrap()
+            })
         });
     }
     group.finish();

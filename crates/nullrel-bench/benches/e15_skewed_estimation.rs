@@ -25,10 +25,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use nullrel_core::algebra::Expr;
 use nullrel_core::predicate::Predicate;
-use nullrel_core::tvl::CompareOp;
+use nullrel_core::tvl::{CompareOp, Truth};
 use nullrel_core::universe::attr_set;
 use nullrel_core::value::Value;
-use nullrel_exec::{execute_expr_with, OptimizeOptions, Parallelism};
+use nullrel_exec::{execute, OptimizeOptions, Parallelism};
 use nullrel_stats::estimate::selectivity;
 use nullrel_stats::{Estimator, StripHistograms};
 use nullrel_storage::{Database, SchemaBuilder};
@@ -272,9 +272,9 @@ fn bench_e15(c: &mut Criterion) {
     let plan = star_plan(&db);
     let u = db.universe().clone();
     let (static_res, static_stats) =
-        execute_expr_with(&plan, &db, &u, options(None)).expect("static plan runs");
+        execute(&plan, &db, &u, Truth::True, options(None)).expect("static plan runs");
     let (adaptive_res, adaptive_stats) =
-        execute_expr_with(&plan, &db, &u, options(Some(2.0))).expect("adaptive plan runs");
+        execute(&plan, &db, &u, Truth::True, options(Some(2.0))).expect("adaptive plan runs");
     assert_eq!(
         adaptive_res, static_res,
         "adaptive and static plans must agree\nstatic:\n{static_stats}\nadaptive:\n{adaptive_stats}"
@@ -301,10 +301,10 @@ fn bench_e15(c: &mut Criterion) {
 
     let measure = || {
         let static_t = median(5, || {
-            black_box(execute_expr_with(&plan, &db, &u, options(None)).unwrap());
+            black_box(execute(&plan, &db, &u, Truth::True, options(None)).unwrap());
         });
         let adaptive_t = median(5, || {
-            black_box(execute_expr_with(&plan, &db, &u, options(Some(2.0))).unwrap());
+            black_box(execute(&plan, &db, &u, Truth::True, options(Some(2.0))).unwrap());
         });
         (static_t, adaptive_t)
     };
@@ -327,10 +327,10 @@ fn bench_e15(c: &mut Criterion) {
     );
 
     group.bench_function("star_static", |b| {
-        b.iter(|| execute_expr_with(&plan, black_box(&db), &u, options(None)).unwrap())
+        b.iter(|| execute(&plan, black_box(&db), &u, Truth::True, options(None)).unwrap())
     });
     group.bench_function("star_adaptive", |b| {
-        b.iter(|| execute_expr_with(&plan, black_box(&db), &u, options(Some(2.0))).unwrap())
+        b.iter(|| execute(&plan, black_box(&db), &u, Truth::True, options(Some(2.0))).unwrap())
     });
     group.finish();
 }

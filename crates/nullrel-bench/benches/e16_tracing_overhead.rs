@@ -20,10 +20,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use nullrel_core::algebra::Expr;
 use nullrel_core::predicate::Predicate;
-use nullrel_core::tvl::CompareOp;
+use nullrel_core::tvl::{CompareOp, Truth};
 use nullrel_core::universe::AttrId;
 use nullrel_core::value::Value;
-use nullrel_exec::{execute_expr_with, OptimizeOptions, Parallelism};
+use nullrel_exec::{execute, OptimizeOptions, Parallelism};
 use nullrel_obs::{install_sink, uninstall_sink, RingSink};
 use nullrel_query::plan::plan_access;
 use nullrel_query::{parse, resolve};
@@ -230,7 +230,7 @@ fn bench_e16(c: &mut Criterion) {
     let resolved = resolve(&db, &parse(JOIN_QUERY).expect("parses")).expect("resolves");
     let expr = plan_access(&resolved);
     let run_e12 = || {
-        black_box(execute_expr_with(&expr, &db, &resolved.universe, options(1)).unwrap());
+        black_box(execute(&expr, &db, &resolved.universe, Truth::True, options(1)).unwrap());
     };
     let (base, traced, ratio) = assert_overhead("e12_self_join", 9, 4, run_e12);
     write_artifact("e12", base, traced, ratio);
@@ -239,7 +239,7 @@ fn bench_e16(c: &mut Criterion) {
     let star = star_db(1_000);
     let plan = star_plan(&star);
     let run_e14 = || {
-        black_box(execute_expr_with(&plan, &star, star.universe(), options(4)).unwrap());
+        black_box(execute(&plan, &star, star.universe(), Truth::True, options(4)).unwrap());
     };
     let (base, traced, ratio) = assert_overhead("e14_star_threads4", 9, 4, run_e14);
     write_artifact("e14", base, traced, ratio);

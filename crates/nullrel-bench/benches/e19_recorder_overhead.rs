@@ -20,10 +20,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use nullrel_core::algebra::Expr;
 use nullrel_core::predicate::Predicate;
-use nullrel_core::tvl::CompareOp;
+use nullrel_core::tvl::{CompareOp, Truth};
 use nullrel_core::universe::AttrId;
 use nullrel_core::value::Value;
-use nullrel_exec::{execute_expr_with, OptimizeOptions, Parallelism};
+use nullrel_exec::{execute, OptimizeOptions, Parallelism};
 use nullrel_obs::recorder;
 use nullrel_storage::{Database, SchemaBuilder};
 
@@ -233,7 +233,7 @@ fn bench_e19(c: &mut Criterion) {
     let db = emp_database(2_000);
     let opts = options(1);
     let run_e12 = || {
-        black_box(nullrel_query::execute_with(&db, JOIN_QUERY, opts).unwrap());
+        black_box(nullrel_query::run(&db, JOIN_QUERY, Truth::True, opts).unwrap());
     };
     let (_, _, e12_ratio) = assert_overhead("e12_self_join", 9, 4, run_e12);
 
@@ -243,7 +243,7 @@ fn bench_e19(c: &mut Criterion) {
     let plan = star_plan(&star);
     let run_e14 = || {
         let trace = nullrel_obs::begin_query("e19 star join");
-        black_box(execute_expr_with(&plan, &star, star.universe(), options(4)).unwrap());
+        black_box(execute(&plan, &star, star.universe(), Truth::True, options(4)).unwrap());
         drop(trace);
     };
     let (_, _, e14_ratio) = assert_overhead("e14_star_threads4", 9, 4, run_e14);

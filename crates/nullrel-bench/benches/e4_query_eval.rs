@@ -8,12 +8,15 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use nullrel_bench::paper_data::emp_database;
-use nullrel_query::{execute, execute_unknown, FIGURE_1_QUERY};
+use nullrel_core::tvl::Truth;
+use nullrel_exec::OptimizeOptions;
+use nullrel_query::{execute_unknown, run, FIGURE_1_QUERY};
 
 fn bench_e4(c: &mut Criterion) {
     let db = emp_database();
 
-    let ni = execute(&db, FIGURE_1_QUERY).expect("figure 1 evaluates");
+    let ni = run(&db, FIGURE_1_QUERY, Truth::True, OptimizeOptions::default())
+        .expect("figure 1 evaluates");
     let unknown = execute_unknown(&db, FIGURE_1_QUERY, &[], 10_000).expect("figure 1 evaluates");
     println!(
         "E4: ni lower bound has {} tuples; unknown interpretation: {} sure, {} maybe \
@@ -28,7 +31,15 @@ fn bench_e4(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("e4_figure1");
     group.bench_function("ni_lower_bound", |b| {
-        b.iter(|| execute(black_box(&db), FIGURE_1_QUERY).unwrap())
+        b.iter(|| {
+            run(
+                black_box(&db),
+                FIGURE_1_QUERY,
+                Truth::True,
+                OptimizeOptions::default(),
+            )
+            .unwrap()
+        })
     });
     group.bench_function("unknown_interpretation_with_tautology_checks", |b| {
         b.iter(|| execute_unknown(black_box(&db), FIGURE_1_QUERY, &[], 10_000).unwrap())

@@ -15,10 +15,10 @@ use nullrel_bench::paper_data::ps_database;
 use nullrel_codd::maybe::{divide_maybe, divide_true, project_codd, select_true};
 use nullrel_core::algebra::{divide, divide_direct, project, select_attr_const, Expr};
 use nullrel_core::predicate::Predicate;
-use nullrel_core::tvl::CompareOp;
+use nullrel_core::tvl::{CompareOp, Truth};
 use nullrel_core::universe::attr_set;
 use nullrel_core::value::Value;
-use nullrel_exec::execute_expr;
+use nullrel_exec::{execute, OptimizeOptions};
 
 fn bench_e6(c: &mut Criterion) {
     let db = ps_database();
@@ -68,11 +68,27 @@ fn bench_e6(c: &mut Criterion) {
     // The engine path: the same division as a logical plan, optimized,
     // compiled onto the streaming DivisionOp, and run against the catalog.
     let division_plan = Expr::named("PS").divide(attr_set([s]), Expr::literal(p_s2.clone()));
-    let (engine_a3, stats) = execute_expr(&division_plan, &db, db.universe()).unwrap();
+    let (engine_a3, stats) = execute(
+        &division_plan,
+        &db,
+        db.universe(),
+        Truth::True,
+        OptimizeOptions::default(),
+    )
+    .unwrap();
     assert_eq!(engine_a3, a3, "engine division must match the Y-quotient");
     assert!(stats.used_division(), "plan:\n{stats}");
     group.bench_function("engine_division_pipeline", |b| {
-        b.iter(|| execute_expr(black_box(&division_plan), &db, db.universe()).unwrap())
+        b.iter(|| {
+            execute(
+                black_box(&division_plan),
+                &db,
+                db.universe(),
+                Truth::True,
+                OptimizeOptions::default(),
+            )
+            .unwrap()
+        })
     });
     group.finish();
 }

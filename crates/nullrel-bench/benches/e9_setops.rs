@@ -21,9 +21,10 @@ use nullrel_bench::workload::{random_relation, WorkloadSpec};
 use nullrel_core::algebra::{Expr, NoSource};
 use nullrel_core::lattice::{hashed, naive};
 use nullrel_core::tuple::Tuple;
+use nullrel_core::tvl::Truth;
 use nullrel_core::universe::Universe;
 use nullrel_core::value::Value;
-use nullrel_exec::execute_expr;
+use nullrel_exec::{execute, OptimizeOptions};
 
 /// Median wall-clock of `samples` runs of `f` (the ratio assertion needs
 /// its own numbers; the criterion shim only prints).
@@ -123,27 +124,54 @@ fn bench_e9(c: &mut Criterion) {
             // The engine path: the same set operations as logical plans
             // compiled onto the streaming UnionOp / DifferenceOp pipeline.
             let union_plan = Expr::literal(a.clone()).union(Expr::literal(b_rel.clone()));
-            let (engine_union, _) = execute_expr(&union_plan, &NoSource, &universe).unwrap();
+            let (engine_union, _) = execute(
+                &union_plan,
+                &NoSource,
+                &universe,
+                Truth::True,
+                OptimizeOptions::default(),
+            )
+            .unwrap();
             assert_eq!(engine_union, hashed::union(&a, &b_rel));
             group.bench_with_input(
                 BenchmarkId::new("union_engine", &label),
                 &label,
                 |bench, _| {
                     bench.iter(|| {
-                        execute_expr(black_box(&union_plan), &NoSource, &universe).unwrap()
+                        execute(
+                            black_box(&union_plan),
+                            &NoSource,
+                            &universe,
+                            Truth::True,
+                            OptimizeOptions::default(),
+                        )
+                        .unwrap()
                     })
                 },
             );
             let difference_plan = Expr::literal(a.clone()).difference(Expr::literal(b_rel.clone()));
-            let (engine_difference, _) =
-                execute_expr(&difference_plan, &NoSource, &universe).unwrap();
+            let (engine_difference, _) = execute(
+                &difference_plan,
+                &NoSource,
+                &universe,
+                Truth::True,
+                OptimizeOptions::default(),
+            )
+            .unwrap();
             assert_eq!(engine_difference, hashed::difference(&a, &b_rel));
             group.bench_with_input(
                 BenchmarkId::new("difference_engine", &label),
                 &label,
                 |bench, _| {
                     bench.iter(|| {
-                        execute_expr(black_box(&difference_plan), &NoSource, &universe).unwrap()
+                        execute(
+                            black_box(&difference_plan),
+                            &NoSource,
+                            &universe,
+                            Truth::True,
+                            OptimizeOptions::default(),
+                        )
+                        .unwrap()
                     })
                 },
             );

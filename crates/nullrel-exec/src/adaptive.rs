@@ -135,10 +135,10 @@ fn replace(expr: Expr, path: &[usize], with: Expr) -> Expr {
 /// concatenates every stage's operator counters (labels suffixed
 /// `@stageN`), ends with the final pipeline's, and lists the
 /// [`ReOptEvent`]s that re-planned the remainder. With
-/// [`OptimizeOptions::adaptive`]` = None` this entry point upholds the
-/// module contract directly: no staging happens and the byte-identical
-/// static pipeline runs.
-pub fn execute_adaptive<S: ExecSource>(
+/// [`OptimizeOptions::adaptive`]` = None` it is the static engine: no
+/// staging happens and the byte-identical static pipeline runs. Reached
+/// through [`crate::execute`] for the TRUE band.
+pub(crate) fn execute_adaptive<S: ExecSource>(
     expr: &Expr,
     source: &S,
     universe: &Universe,
@@ -269,10 +269,11 @@ mod tests {
                     d,
                 )),
             );
-        let (static_res, static_stats) = crate::execute_expr_with(
+        let (static_res, static_stats) = crate::execute(
             &plan,
             &NoSource,
             &u,
+            Truth::True,
             OptimizeOptions {
                 adaptive: None,
                 ..OptimizeOptions::default()
@@ -343,7 +344,7 @@ mod tests {
         };
         let (res, stats) = execute_adaptive(&plan, &NoSource, &u, options).unwrap();
         let (static_res, static_stats) =
-            crate::execute_expr_with(&plan, &NoSource, &u, options).unwrap();
+            crate::execute(&plan, &NoSource, &u, Truth::True, options).unwrap();
         assert_eq!(res, static_res);
         assert_eq!(stats, static_stats, "byte-identical static pipeline");
         assert!(!stats.render().contains("@stage"));

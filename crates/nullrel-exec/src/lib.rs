@@ -29,17 +29,18 @@
 //!   [`MinimizeOp`] sink, which reduces them to the canonical minimal
 //!   x-relation representation.
 //!
-//! The MAYBE band is requested through [`compile_band`] with
-//! [`Truth::Ni`](nullrel_core::tvl::Truth): filters then keep the rows
-//! whose qualification evaluates to `ni` instead of TRUE (optimization is
-//! skipped, as the rewrite rules are lower-bound arguments).
+//! [`execute`] strings the three together for one truth band. The MAYBE
+//! band is requested with [`Truth::Ni`](nullrel_core::tvl::Truth): filters
+//! then keep the rows whose qualification evaluates to `ni` instead of
+//! TRUE (optimization is skipped, as the rewrite rules are lower-bound
+//! arguments).
 //!
 //! ## Quick start
 //!
 //! ```
 //! use nullrel_core::algebra::NoSource;
 //! use nullrel_core::prelude::*;
-//! use nullrel_exec::execute_expr;
+//! use nullrel_exec::{execute, OptimizeOptions};
 //!
 //! let mut u = Universe::new();
 //! let a = u.intern("A");
@@ -52,7 +53,8 @@
 //! let plan = Expr::literal(left)
 //!     .product(Expr::literal(right))
 //!     .select(Predicate::attr_attr(a, CompareOp::Eq, b));
-//! let (result, stats) = execute_expr(&plan, &NoSource, &u).unwrap();
+//! let (result, stats) =
+//!     execute(&plan, &NoSource, &u, Truth::True, OptimizeOptions::default()).unwrap();
 //! assert_eq!(result.len(), 1);
 //! assert!(stats.used_hash_join());
 //! ```
@@ -70,7 +72,6 @@ pub mod source;
 pub mod stats;
 pub mod vec_op;
 
-pub use adaptive::execute_adaptive;
 pub use compile::{compile, compile_band, compile_with, Pipeline};
 pub use nullrel_par::Parallelism;
 pub use op::{
@@ -95,58 +96,13 @@ use nullrel_core::tvl::Truth;
 use nullrel_core::universe::Universe;
 use nullrel_core::xrel::XRelation;
 
-/// Optimizes, compiles, and runs a logical plan in one call (TRUE band).
-pub fn execute_expr<S: ExecSource>(
-    expr: &Expr,
-    source: &S,
-    universe: &Universe,
-) -> CoreResult<(XRelation, ExecStats)> {
-    execute_expr_with(expr, source, universe, OptimizeOptions::default())
-}
-
-/// [`execute_expr`] with explicit optimizer options — how the differential
-/// tests and benchmarks pit the cost-based plan against the
-/// declaration-order left-deep one. With [`OptimizeOptions::adaptive`]
-/// set, execution is staged with cardinality feedback
-/// ([`execute_adaptive`]); otherwise the classic static pipeline runs.
-pub fn execute_expr_with<S: ExecSource>(
-    expr: &Expr,
-    source: &S,
-    universe: &Universe,
-    options: OptimizeOptions,
-) -> CoreResult<(XRelation, ExecStats)> {
-    if options.adaptive.is_some() {
-        return execute_adaptive(expr, source, universe, options);
-    }
-    use nullrel_obs::{phase, Phase};
-    let optimized = phase(Phase::Optimize, || optimize_with(expr, source, options));
-    let pipeline = phase(Phase::Compile, || {
-        compile_with(
-            &optimized.expr,
-            source,
-            universe,
-            nullrel_core::tvl::Truth::True,
-            options,
-        )
-    })?;
-    phase(Phase::Run, || pipeline.run())
-}
-
-/// Runs a logical plan under an explicit truth band. The TRUE band goes
-/// through the optimizer; other bands compile the plan as written.
-pub fn execute_expr_band<S: ExecSource>(
-    expr: &Expr,
-    source: &S,
-    universe: &Universe,
-    band: Truth,
-) -> CoreResult<(XRelation, ExecStats)> {
-    execute_expr_band_with(expr, source, universe, band, OptimizeOptions::default())
-}
-
-/// [`execute_expr_band`] with explicit engine options — how the parallel
-/// differential tests pin the degree of parallelism per run in both truth
-/// bands.
-pub fn execute_expr_band_with<S: ExecSource>(
+/// Runs a logical plan in one truth band: the one way to execute an
+/// [`Expr`]. The TRUE band is optimized, compiled and run — staged with
+/// cardinality feedback when [`OptimizeOptions::adaptive`] is set; any
+/// other band compiles the plan as written, since the optimizer's rewrite
+/// rules are lower-bound arguments. Each stage is timed as a query
+/// lifecycle phase.
+pub fn execute<S: ExecSource>(
     expr: &Expr,
     source: &S,
     universe: &Universe,
@@ -154,14 +110,13 @@ pub fn execute_expr_band_with<S: ExecSource>(
     options: OptimizeOptions,
 ) -> CoreResult<(XRelation, ExecStats)> {
     if band == Truth::True {
-        execute_expr_with(expr, source, universe, options)
-    } else {
-        use nullrel_obs::{phase, Phase};
-        let pipeline = phase(Phase::Compile, || {
-            compile_with(expr, source, universe, band, options)
-        })?;
-        phase(Phase::Run, || pipeline.run())
+        return adaptive::execute_adaptive(expr, source, universe, options);
     }
+    use nullrel_obs::{phase, Phase};
+    let pipeline = phase(Phase::Compile, || {
+        compile_with(expr, source, universe, band, options)
+    })?;
+    phase(Phase::Run, || pipeline.run())
 }
 
 #[cfg(test)]
@@ -174,14 +129,15 @@ mod tests {
     use nullrel_core::value::Value;
 
     #[test]
-    fn execute_expr_band_dispatches() {
+    fn execute_dispatches_on_the_band() {
         let mut u = Universe::new();
         let a = u.intern("A");
         let rel = XRelation::from_tuples([Tuple::new().with(a, Value::int(1)), Tuple::new()]);
         let plan = Expr::literal(rel).select(Predicate::attr_const(a, CompareOp::Gt, 0));
-        let (sure, _) = execute_expr_band(&plan, &NoSource, &u, Truth::True).unwrap();
+        let options = OptimizeOptions::default();
+        let (sure, _) = execute(&plan, &NoSource, &u, Truth::True, options).unwrap();
         assert_eq!(sure.len(), 1);
-        let (maybe, _) = execute_expr_band(&plan, &NoSource, &u, Truth::Ni).unwrap();
+        let (maybe, _) = execute(&plan, &NoSource, &u, Truth::Ni, options).unwrap();
         assert!(maybe.is_empty(), "minimal form stores no null tuples");
     }
 }

@@ -1,7 +1,7 @@
 //! The physical operators: pull-based pipeline stages over tuples.
 //!
 //! Every operator implements [`TupleStream`] and owns an
-//! [`OpStats`](crate::stats::OpStats) slot shared with the enclosing
+//! [`OpStats`] slot shared with the enclosing
 //! [`crate::Pipeline`]. Operators obey the paper's lower-bound discipline:
 //! a row travels the pipeline only while its qualification can still become
 //! TRUE, and rows that fall into the `ni` band are counted, not silently
@@ -311,7 +311,7 @@ impl TupleStream for HashJoinOp<'_> {
 
 /// Index-nested-loop join: streams the outer input and, for every outer
 /// row, probes a storage index on the inner base relation through
-/// [`ExecSource::index_probe`].
+/// [`ExecSource::index_probe`](crate::ExecSource::index_probe).
 ///
 /// The cost-based planner picks this operator over [`HashJoinOp`] when an
 /// index covers the inner join key and the outer side is estimated small:
@@ -465,7 +465,7 @@ impl TupleStream for ProductOp<'_> {
 
 /// Attribute renaming over an arbitrary sub-plan.
 ///
-/// Mirrors the relation-level [`nullrel_core::algebra::rename`]: the
+/// Mirrors the relation-level [`nullrel_core::algebra::rename()`]: the
 /// effective mapping must be injective on the streamed scope, so the
 /// operator accumulates every target it has produced and reports a
 /// [`CoreError::RenameCollision`] the moment two distinct source attributes

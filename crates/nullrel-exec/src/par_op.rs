@@ -6,11 +6,12 @@
 //! [`QueryPool`], and then streams the result downstream — so parallel
 //! operators compose freely with the serial ones in a single pipeline. The
 //! planner grants a degree of parallelism per operator
-//! ([`OpStats::parallelism`]) only when the cost model predicts enough
-//! input rows to amortise the fan-out; at degree 1 these operators are
-//! never constructed and the engine remains byte-identical to the serial
-//! one. All parallel operators of one compilation share a single pool —
-//! worker threads are spawned once per query, not once per operator.
+//! ([`OpStats::parallelism`](crate::OpStats::parallelism)) only when the
+//! cost model predicts enough input rows to amortise the fan-out; at
+//! degree 1 these operators are never constructed and the engine remains
+//! byte-identical to the serial one. All parallel operators of one
+//! compilation share a single pool — worker threads are spawned once per
+//! query, not once per operator.
 //!
 //! * [`ParFilterOp`] / [`ParProjectOp`] — morsel-parallel selection (in
 //!   any truth band) and projection.
@@ -26,8 +27,9 @@
 //!   merged by `nullrel-core`'s `merge_antichains`, which provably equals
 //!   the serial reduction.
 //!
-//! All per-worker counters land in the operator's [`OpStats`] slot and are
-//! rendered by `explain` as `par=N workers=[in/out …]`.
+//! All per-worker counters land in the operator's
+//! [`OpStats`](crate::OpStats) slot and are rendered by `explain` as
+//! `par=N workers=[in/out …]`.
 
 use std::rc::Rc;
 use std::sync::Arc;

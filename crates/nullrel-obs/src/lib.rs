@@ -65,7 +65,8 @@
 //! Per-operator wall-clock instrumentation costs a clock read per
 //! `next_tuple` call, so it is gated separately: a live [`TimingGuard`]
 //! turns it on ([`timing_active`]), and `nullrel-query`'s
-//! `explain_analyze` holds one for the duration of the analyzed run.
+//! `explain` (in `ExplainMode::Analyzed`) holds one for the duration of
+//! the analyzed run.
 //! Plain tracing (sink installed, slow log armed) records only
 //! coarse-grained spans — per phase, per pipeline, per worker, per morsel
 //! task — and stays within the <3 % overhead budget asserted by the

@@ -71,7 +71,7 @@ pub fn resolve(db: &Database, query: &Query) -> QueryResult<ResolvedQuery> {
 /// so copying and renaming every row during resolution would be pure
 /// waste on the hot query path. Crate-private because the returned
 /// `ResolvedQuery` must not be handed to the row-consuming evaluators
-/// (`execute_resolved*`, the unknown interpreter).
+/// (`execute_resolved_naive`, the unknown interpreter).
 pub(crate) fn resolve_lazy(db: &Database, query: &Query) -> QueryResult<ResolvedQuery> {
     resolve_impl(db, query, false)
 }

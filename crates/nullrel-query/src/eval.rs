@@ -1,10 +1,13 @@
 //! Query evaluation under the paper's `ni` discipline: the lower bound
 //! `‖Q‖∗` of Section 5.
 //!
-//! [`execute`] parses, resolves, plans, and evaluates a QUEL query against a
-//! [`Database`]. The result contains only tuples whose qualification
-//! evaluates to TRUE; FALSE and `ni` tuples are discarded alike, which is
-//! what makes the evaluation a single pass needing no tautology analysis.
+//! [`run`] is the one way to evaluate a query: a QUEL text, a [`Prepared`]
+//! query or an algebra [`Expr`] ([`Input`]) against a [`Database`], in one
+//! truth band. In the TRUE band the result contains only tuples whose
+//! qualification evaluates to TRUE; FALSE and `ni` tuples are discarded
+//! alike, which is what makes the evaluation a single pass needing no
+//! tautology analysis. [`explain`] runs the same stages and reports the
+//! executed plan instead of the rows.
 //!
 //! Evaluation runs through the `nullrel-exec` engine: the logical plan is
 //! optimized (selection/projection pushdown — including through
@@ -19,17 +22,19 @@
 //! [`execute_resolved_naive`], the correctness oracle of the differential
 //! tests and benchmarks (and nothing else: the engine never calls it).
 
-use nullrel_core::algebra::NoSource;
+use std::time::{Duration, Instant};
+
+use nullrel_core::algebra::{Expr, NoSource};
 use nullrel_core::tuple::Tuple;
 use nullrel_core::tvl::Truth;
 use nullrel_core::universe::{AttrId, Universe};
 use nullrel_core::value::Value;
-use nullrel_exec::ExecStats;
-use nullrel_obs::Phase;
+use nullrel_core::xrel::XRelation;
+use nullrel_exec::{fmt_duration, ExecStats, OptimizeOptions};
+use nullrel_obs::{phase_timed, Phase, QueryTrace};
 use nullrel_storage::Database;
 
 use crate::analyze::ResolvedQuery;
-use crate::ast::Query;
 use crate::error::QueryResult;
 use crate::parser::parse;
 use crate::plan::{plan, plan_access};
@@ -117,34 +122,6 @@ impl QueryOutput {
     }
 }
 
-/// Parses and executes a query under the `ni` lower-bound semantics,
-/// through the physical engine with catalog access paths.
-pub fn execute(db: &Database, text: &str) -> QueryResult<QueryOutput> {
-    execute_with(db, text, nullrel_exec::OptimizeOptions::default())
-}
-
-/// [`execute`] with explicit engine options — in particular
-/// [`nullrel_exec::OptimizeOptions::adaptive`], which makes execution
-/// staged with cardinality feedback (re-optimization events land in
-/// [`QueryOutput::stats`] and the `--explain` report). The differential
-/// suite `tests/adaptive_differential.rs` pins adaptive and static
-/// execution to byte-identical outputs.
-pub fn execute_with(
-    db: &Database,
-    text: &str,
-    options: nullrel_exec::OptimizeOptions,
-) -> QueryResult<QueryOutput> {
-    let _query_trace = nullrel_obs::begin_query(text);
-    let query = nullrel_obs::phase(Phase::Parse, || parse(text))?;
-    let (resolved, expr) = nullrel_obs::phase(Phase::Plan, || {
-        let resolved = crate::analyze::resolve_lazy(db, &query)?;
-        let expr = plan_access(&resolved);
-        QueryResult::Ok((resolved, expr))
-    })?;
-    let (rel, stats) = nullrel_exec::execute_expr_with(&expr, db, &resolved.universe, options)?;
-    Ok(output(resolved, rel.into_tuples(), stats))
-}
-
 /// A query parsed, resolved, and logically planned once, ready to re-run
 /// against any database state sharing the schema it was resolved under —
 /// the cacheable unit of the query service's per-session prepared-query
@@ -158,7 +135,7 @@ pub struct Prepared {
     /// The resolved query: query-local universe, range scopes, targets.
     pub resolved: ResolvedQuery,
     /// The logical access plan over the resolved scopes.
-    pub expr: nullrel_core::algebra::Expr,
+    pub expr: Expr,
     /// [`Database::schema_version`] at preparation time. A snapshot with a
     /// different schema version may resolve differently (tables or columns
     /// created, dropped, or renamed) — holders must re-prepare.
@@ -173,16 +150,11 @@ impl Prepared {
     }
 }
 
-/// Parses, resolves, and logically plans a query without executing it —
-/// the front half of [`execute_with`], split off so a session can pay
-/// parse/resolve/plan once and [`execute_prepared`] many times.
+/// Parses, resolves, and logically plans a query without executing it,
+/// so a session can pay parse/resolve/plan once and [`run`] the
+/// [`Prepared`] query many times.
 pub fn prepare(db: &Database, text: &str) -> QueryResult<Prepared> {
-    let query = nullrel_obs::phase(Phase::Parse, || parse(text))?;
-    let (resolved, expr) = nullrel_obs::phase(Phase::Plan, || {
-        let resolved = crate::analyze::resolve_lazy(db, &query)?;
-        let expr = plan_access(&resolved);
-        QueryResult::Ok((resolved, expr))
-    })?;
+    let ((resolved, expr), _) = parse_and_plan(db, text)?;
     Ok(Prepared {
         text: text.to_owned(),
         resolved,
@@ -191,77 +163,311 @@ pub fn prepare(db: &Database, text: &str) -> QueryResult<Prepared> {
     })
 }
 
-/// Runs a [`Prepared`] query against `db` in the requested truth band,
-/// skipping parse/resolve/plan. The caller is responsible for validity
-/// ([`Prepared::valid_for`]); executing a stale prepared query against an
-/// evolved schema returns whatever the old plan still means, exactly like
-/// re-running a stale statement handle would.
-pub fn execute_prepared(
+/// What [`run`] and [`explain`] evaluate.
+#[derive(Debug, Clone, Copy)]
+pub enum Input<'a> {
+    /// A QUEL text, parsed, resolved and planned on every call.
+    Text(&'a str),
+    /// A query [`prepare`]d once. The caller is responsible for validity
+    /// ([`Prepared::valid_for`]); running a stale prepared query against
+    /// an evolved schema returns whatever the old plan still means, exactly
+    /// like re-running a stale statement handle would.
+    Prepared(&'a Prepared),
+    /// An algebra expression over a universe — how set operators, division
+    /// and the union-join, which QUEL does not cover, are run. It has no
+    /// target list, so its output's `columns` and `column_attrs` are empty.
+    Expr(&'a Expr, &'a Universe),
+}
+
+impl<'a> From<&'a str> for Input<'a> {
+    fn from(text: &'a str) -> Self {
+        Input::Text(text)
+    }
+}
+
+impl<'a> From<&'a Prepared> for Input<'a> {
+    fn from(prepared: &'a Prepared) -> Self {
+        Input::Prepared(prepared)
+    }
+}
+
+/// What an [`explain`] report shows of the executed physical plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExplainMode {
+    /// `EXPLAIN`: every operator with its real access-path counters (rows
+    /// examined/returned, `ni` rows, index usage, granted parallelism and
+    /// per-worker rows) next to the optimizer's `est_rows` estimates.
+    Executed,
+    /// `EXPLAIN ANALYZE`: per-tuple operator timing armed, so each operator
+    /// also reports its wall-clock self-time and share of the query, closed
+    /// by a `phases:` line breaking the query into
+    /// parse/plan/optimize/compile/run.
+    Analyzed,
+}
+
+/// Evaluates a query through the physical engine in one truth band:
+/// [`Truth::True`] is the `ni` lower bound `‖Q‖∗`, [`Truth::Ni`] the MAYBE
+/// band — the tuples whose qualification evaluates to `ni`, run over the
+/// plan as written, since the optimizer's rewrite rules are lower-bound
+/// arguments. With [`OptimizeOptions::adaptive`] set, TRUE-band execution
+/// is staged with cardinality feedback (re-optimization events land in
+/// [`QueryOutput::stats`]).
+pub fn run<'a>(
     db: &Database,
-    prepared: &Prepared,
+    input: impl Into<Input<'a>>,
     band: Truth,
-    options: nullrel_exec::OptimizeOptions,
+    options: OptimizeOptions,
 ) -> QueryResult<QueryOutput> {
-    let label = if band == Truth::Ni {
-        format!("MAYBE {}", prepared.text)
-    } else {
-        prepared.text.clone()
+    let (_trace, planned, ran) = evaluate(db, input.into(), band, options, None)?;
+    Ok(planned.into_output(ran.rel.into_tuples(), ran.stats))
+}
+
+/// The `--explain` report for a query (TRUE band): the logical plan, the
+/// optimizer rules that fired (cost-based join ordering included), and the
+/// executed physical plan — in the detail `mode` asks for — closed by the
+/// plan's mean q-error so estimation drift is visible at a glance. With
+/// [`OptimizeOptions::adaptive`] set, the physical section shows every
+/// executed stage (operator labels suffixed `@stageN`) and the `re-opt@op`
+/// events that re-planned the remaining stages.
+pub fn explain<'a>(
+    db: &Database,
+    input: impl Into<Input<'a>>,
+    options: OptimizeOptions,
+    mode: ExplainMode,
+) -> QueryResult<String> {
+    // Arm per-tuple timing before anything runs: every operator the
+    // compiler builds is wrapped in a `TimedOp` while the guard lives.
+    let _timing = (mode == ExplainMode::Analyzed).then(nullrel_obs::TimingGuard::new);
+    let (_trace, planned, ran) = evaluate(db, input.into(), Truth::True, options, Some(mode))?;
+    let total = ran.start.elapsed();
+    let stats = &ran.stats;
+    let mut out = String::from("logical:\n");
+    out.push_str(&planned.expr().explain(planned.universe()));
+    if !ran.applied.is_empty() {
+        out.push_str("rules:\n");
+        for rule in &ran.applied {
+            out.push_str("  ");
+            out.push_str(rule);
+            out.push('\n');
+        }
+        if mode == ExplainMode::Executed && stats.reoptimized() {
+            // The rules above describe the *initial* static plan; the
+            // re-opt events in the physical section replanned later
+            // stages against observed statistics.
+            out.push_str("  (initial plan — re-opt events below replanned later stages)\n");
+        }
+    }
+    match mode {
+        ExplainMode::Executed => {
+            out.push_str("physical (executed):\n");
+            out.push_str(&stats.render());
+            out.push_str(&estimation_line(stats));
+        }
+        ExplainMode::Analyzed => {
+            out.push_str("physical (analyzed):\n");
+            out.push_str(&stats.render_analyze(ran.run));
+            out.push_str(&estimation_line(stats));
+            out.push_str("phases:");
+            if let Planned::Text(_, _, (parse_d, plan_d)) = planned {
+                out.push_str(&format!(
+                    " parse={} plan={}",
+                    fmt_duration(parse_d),
+                    fmt_duration(plan_d)
+                ));
+            }
+            out.push_str(&format!(
+                " optimize={} compile={} run={} total={}\n",
+                fmt_duration(ran.optimize),
+                // Staged execution interleaves compile and run per stage;
+                // the whole loop is reported as run time.
+                ran.compile
+                    .map_or_else(|| "(staged)".to_owned(), fmt_duration),
+                fmt_duration(ran.run),
+                fmt_duration(total)
+            ));
+        }
+    }
+    Ok(out)
+}
+
+/// The closing `estimation:` line of explain reports: the plan's mean
+/// q-error when at least one operator carried a cardinality estimate,
+/// `q-err=n/a` otherwise (e.g. literal-only plans with no catalog).
+fn estimation_line(stats: &ExecStats) -> String {
+    match stats.estimation_error() {
+        Some(q) => format!(
+            "estimation: mean q-error {q:.2} over {} operator(s)\n",
+            stats.ops.iter().filter(|o| o.est_rows.is_some()).count()
+        ),
+        None => "estimation: q-err=n/a (no operator carried an estimate)\n".to_owned(),
+    }
+}
+
+/// A query ready for the engine: its logical plan, and the resolution its
+/// output columns come from.
+#[allow(clippy::large_enum_variant)] // one per query, never boxed or stored
+enum Planned<'a> {
+    /// A text parsed and planned on this call, with both phases' times.
+    Text(ResolvedQuery, Expr, (Duration, Duration)),
+    Prepared(&'a Prepared),
+    Expr(&'a Expr, &'a Universe),
+}
+
+impl Planned<'_> {
+    fn expr(&self) -> &Expr {
+        match self {
+            Planned::Text(_, expr, _) => expr,
+            Planned::Prepared(prepared) => &prepared.expr,
+            Planned::Expr(expr, _) => expr,
+        }
+    }
+
+    fn universe(&self) -> &Universe {
+        match self {
+            Planned::Text(resolved, ..) => &resolved.universe,
+            Planned::Prepared(prepared) => &prepared.resolved.universe,
+            Planned::Expr(_, universe) => universe,
+        }
+    }
+
+    fn into_output(self, rows: Vec<Tuple>, stats: ExecStats) -> QueryOutput {
+        match self {
+            Planned::Text(resolved, ..) => {
+                output(&resolved.targets, resolved.universe, rows, stats)
+            }
+            Planned::Prepared(prepared) => output(
+                &prepared.resolved.targets,
+                prepared.resolved.universe.clone(),
+                rows,
+                stats,
+            ),
+            Planned::Expr(_, universe) => output(&[], universe.clone(), rows, stats),
+        }
+    }
+}
+
+/// What the engine stages produced, and how long each took.
+struct Ran {
+    rel: XRelation,
+    stats: ExecStats,
+    /// The optimizer rules that fired (TRUE band only).
+    applied: Vec<String>,
+    /// When the query's flight record opened.
+    start: Instant,
+    optimize: Duration,
+    /// `None` when execution was staged, interleaving compile and run.
+    compile: Option<Duration>,
+    run: Duration,
+}
+
+/// The body [`run`] and [`explain`] share: open the query's flight record,
+/// parse and plan a text, then optimize (TRUE band only), compile and run,
+/// and record what the execution did. The returned guard keeps the record
+/// open while the caller shapes the result.
+fn evaluate<'a>(
+    db: &Database,
+    input: Input<'a>,
+    band: Truth,
+    options: OptimizeOptions,
+    explain: Option<ExplainMode>,
+) -> QueryResult<(QueryTrace, Planned<'a>, Ran)> {
+    let prefix = match (explain, band) {
+        (Some(ExplainMode::Executed), _) => "EXPLAIN ",
+        (Some(ExplainMode::Analyzed), _) => "EXPLAIN ANALYZE ",
+        (None, Truth::Ni) => "MAYBE ",
+        (None, _) => "",
     };
-    let _query_trace = nullrel_obs::begin_query(label);
+    let text = match input {
+        Input::Text(text) => text,
+        Input::Prepared(prepared) => &prepared.text,
+        Input::Expr(..) => "(expr)",
+    };
+    let trace = nullrel_obs::begin_query([prefix, text].concat());
+    let start = Instant::now();
     if band == Truth::Ni {
         nullrel_obs::recorder::annotate(|r| r.band = "MAYBE");
     }
-    let (rel, stats) = nullrel_exec::execute_expr_band_with(
-        &prepared.expr,
-        db,
-        &prepared.resolved.universe,
-        band,
-        options,
-    )?;
-    Ok(output(prepared.resolved.clone(), rel.into_tuples(), stats))
+    let planned = match input {
+        Input::Text(text) => {
+            let ((resolved, expr), parse_plan) = parse_and_plan(db, text)?;
+            Planned::Text(resolved, expr, parse_plan)
+        }
+        Input::Prepared(prepared) => Planned::Prepared(prepared),
+        Input::Expr(expr, universe) => Planned::Expr(expr, universe),
+    };
+    let (expr, universe) = (planned.expr(), planned.universe());
+    // Staged execution optimizes, compiles and runs stage by stage under
+    // its own phases; it is optimized here only for the rules an explain
+    // report lists.
+    let staged = band == Truth::True && options.adaptive.is_some();
+    let optimized = (band == Truth::True && (!staged || explain.is_some())).then(|| {
+        phase_timed(Phase::Optimize, || {
+            nullrel_exec::optimize_with(expr, db, options)
+        })
+    });
+    let (rel, stats, compile, run) = if staged {
+        let run_start = Instant::now();
+        let (rel, stats) = nullrel_exec::execute(expr, db, universe, band, options)?;
+        (rel, stats, None, run_start.elapsed())
+    } else {
+        let plan = optimized.as_ref().map_or(expr, |(o, _)| &o.expr);
+        let (pipeline, compile) = phase_timed(Phase::Compile, || {
+            nullrel_exec::compile_with(plan, db, universe, band, options)
+        });
+        let pipeline = pipeline?;
+        let (result, run) = phase_timed(Phase::Run, || pipeline.run());
+        let (rel, stats) = result?;
+        (rel, stats, Some(compile), run)
+    };
+    let (applied, optimize) =
+        optimized.map_or((Vec::new(), Duration::ZERO), |(o, d)| (o.applied, d));
+    let ran = Ran {
+        rel,
+        stats,
+        applied,
+        start,
+        optimize,
+        compile,
+        run,
+    };
+    annotate_record(ran.rel.len(), &ran.stats);
+    Ok((trace, planned, ran))
 }
 
-/// Executes an already-parsed query under the `ni` lower-bound semantics.
-pub fn execute_query(db: &Database, query: &Query) -> QueryResult<QueryOutput> {
-    let _query_trace = nullrel_obs::begin_query("(pre-parsed query)");
+/// Parses a QUEL text and plans it over the catalog's access paths, each
+/// half timed as a query lifecycle phase.
+fn parse_and_plan(
+    db: &Database,
+    text: &str,
+) -> QueryResult<((ResolvedQuery, Expr), (Duration, Duration))> {
+    let (query, parse_d) = phase_timed(Phase::Parse, || parse(text));
+    let query = query?;
     // Lazy resolution: the engine reads the tables through its own access
     // paths, so the per-range row copies would never be looked at.
-    let (resolved, expr) = nullrel_obs::phase(Phase::Plan, || {
-        let resolved = crate::analyze::resolve_lazy(db, query)?;
-        let expr = plan_access(&resolved);
-        QueryResult::Ok((resolved, expr))
-    })?;
-    let (rel, stats) = nullrel_exec::execute_expr(&expr, db, &resolved.universe)?;
-    Ok(output(resolved, rel.into_tuples(), stats))
-}
-
-/// Parses and executes a query, returning the **MAYBE band**: the tuples
-/// whose qualification evaluates to `ni` rather than TRUE. The band is
-/// requested through the engine ([`nullrel_exec::execute_expr_band`]); the
-/// plan is executed as written, since the optimizer's rewrite rules are
-/// lower-bound arguments.
-pub fn execute_maybe(db: &Database, text: &str) -> QueryResult<QueryOutput> {
-    let _query_trace = nullrel_obs::begin_query(format!("MAYBE {text}"));
-    nullrel_obs::recorder::annotate(|r| r.band = "MAYBE");
-    let query = nullrel_obs::phase(Phase::Parse, || parse(text))?;
-    let (resolved, expr) = nullrel_obs::phase(Phase::Plan, || {
+    let (planned, plan_d) = phase_timed(Phase::Plan, || {
         let resolved = crate::analyze::resolve_lazy(db, &query)?;
         let expr = plan_access(&resolved);
         QueryResult::Ok((resolved, expr))
-    })?;
-    let (rel, stats) = nullrel_exec::execute_expr_band(&expr, db, &resolved.universe, Truth::Ni)?;
-    Ok(output(resolved, rel.into_tuples(), stats))
+    });
+    Ok((planned?, (parse_d, plan_d)))
 }
 
-/// Executes a resolved query through the engine over its literal plan
-/// (exposed so the benchmarks can separate parse and plan cost from
-/// evaluation cost; no catalog is available on this path, so scans stream
-/// the resolved rows without index selection).
-pub fn execute_resolved(resolved: &ResolvedQuery) -> QueryResult<QueryOutput> {
-    let _query_trace = nullrel_obs::begin_query("(resolved query)");
-    let expr = nullrel_obs::phase(Phase::Plan, || plan(resolved));
-    let (rel, stats) = nullrel_exec::execute_expr(&expr, &NoSource, &resolved.universe)?;
-    Ok(output(resolved.clone(), rel.into_tuples(), stats))
+/// Tells the flight record what the execution actually did. The closure
+/// only runs while a record is in flight (recorder enabled and a
+/// `begin_query` scope open on this thread).
+fn annotate_record(rows_out: usize, stats: &ExecStats) {
+    nullrel_obs::recorder::annotate(|r| {
+        r.rows_in = stats.rows_examined() as u64;
+        r.rows_out = rows_out as u64;
+        r.batches = stats.batches() as u64;
+        r.par_granted = stats.max_parallelism() as u32;
+        r.par_used = stats.max_workers_used() as u32;
+        r.q_error = stats.estimation_error();
+        r.reopts = stats.reopts.len() as u32;
+        r.mem_rows = stats.peak_mem_rows() as u64;
+        r.mem_bytes = stats.peak_mem_bytes() as u64;
+        r.plan = stats.render();
+    });
 }
 
 /// The seed's tree-walk evaluation (`Expr::eval` over the literal plan):
@@ -272,38 +478,24 @@ pub fn execute_resolved_naive(resolved: &ResolvedQuery) -> QueryResult<QueryOutp
     let expr = plan(resolved);
     let result = expr.eval(&NoSource)?;
     Ok(output(
-        resolved.clone(),
+        &resolved.targets,
+        resolved.universe.clone(),
         result.into_tuples(),
         ExecStats::default(),
     ))
 }
 
-fn output(resolved: ResolvedQuery, rows: Vec<Tuple>, stats: ExecStats) -> QueryOutput {
-    // Every engine entry point funnels through here, so this is where the
-    // flight record learns what the execution actually did. The closure
-    // only runs while a record is in flight (recorder enabled and a
-    // `begin_query` scope open on this thread).
-    nullrel_obs::recorder::annotate(|r| {
-        r.rows_in = stats.rows_examined() as u64;
-        r.rows_out = rows.len() as u64;
-        r.batches = stats.batches() as u64;
-        r.par_granted = stats.max_parallelism() as u32;
-        r.par_used = stats.max_workers_used() as u32;
-        r.q_error = stats.estimation_error();
-        r.reopts = stats.reopts.len() as u32;
-        r.mem_rows = stats.peak_mem_rows() as u64;
-        r.mem_bytes = stats.peak_mem_bytes() as u64;
-        r.plan = stats.render();
-    });
+fn output(
+    targets: &[(String, AttrId)],
+    universe: Universe,
+    rows: Vec<Tuple>,
+    stats: ExecStats,
+) -> QueryOutput {
     QueryOutput {
-        columns: resolved
-            .targets
-            .iter()
-            .map(|(label, _)| label.clone())
-            .collect(),
-        column_attrs: resolved.targets.iter().map(|(_, attr)| *attr).collect(),
+        columns: targets.iter().map(|(label, _)| label.clone()).collect(),
+        column_attrs: targets.iter().map(|(_, attr)| *attr).collect(),
         rows,
-        universe: resolved.universe,
+        universe,
         stats,
     }
 }
@@ -312,6 +504,11 @@ fn output(resolved: ResolvedQuery, rows: Vec<Tuple>, stats: ExecStats) -> QueryO
 mod tests {
     use super::*;
     use nullrel_storage::SchemaBuilder;
+
+    /// The TRUE band under default options: the `ni` lower bound `‖Q‖∗`.
+    fn lower_bound(db: &Database, text: &str) -> QueryResult<QueryOutput> {
+        run(db, text, Truth::True, OptimizeOptions::default())
+    }
 
     /// Builds the EMP relation of Table II (the TEL# column exists but every
     /// value is ni).
@@ -353,7 +550,7 @@ mod tests {
     #[test]
     fn figure1_lower_bound_is_empty_on_table_ii() {
         let db = emp_table_ii_db();
-        let out = execute(
+        let out = lower_bound(
             &db,
             "range of e is EMP retrieve (e.NAME, e.E#) \
              where (e.SEX = \"F\" and e.TEL# > 2634000) or (e.TEL# < 2634000)",
@@ -378,7 +575,7 @@ mod tests {
                 &[(tel, Some(Value::int(2_639_452)))],
             )
             .unwrap();
-        let out = execute(
+        let out = lower_bound(
             &db,
             "range of e is EMP retrieve (e.NAME, e.E#) \
              where (e.SEX = \"F\" and e.TEL# > 2634000) or (e.TEL# < 2634000)",
@@ -418,7 +615,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = execute(
+        let out = lower_bound(
             &db,
             "range of e is EMP range of m is EMP retrieve (e.NAME) \
              where m.SEX = \"M\" and e.MGR# = m.E# and e.MGR# != e.E# and e.E# != m.MGR#",
@@ -438,7 +635,7 @@ mod tests {
     #[test]
     fn query_without_where_projects_everything() {
         let db = emp_table_ii_db();
-        let out = execute(&db, "range of e is EMP retrieve (e.SEX)").unwrap();
+        let out = lower_bound(&db, "range of e is EMP retrieve (e.SEX)").unwrap();
         // Projection collapses duplicates: M and F.
         assert_eq!(out.len(), 2);
         assert!(out.contains_row(&[Some(Value::str("M"))]));
@@ -447,10 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn errors_propagate_through_execute() {
+    fn errors_propagate_through_run() {
         let db = emp_table_ii_db();
-        assert!(execute(&db, "range of e is NOPE retrieve (e.X)").is_err());
-        assert!(execute(&db, "not a query at all").is_err());
+        assert!(lower_bound(&db, "range of e is NOPE retrieve (e.X)").is_err());
+        assert!(lower_bound(&db, "not a query at all").is_err());
     }
 
     /// Acceptance: a two-range equi-join query executes via `HashJoin`
@@ -460,7 +657,7 @@ mod tests {
         let db = emp_table_ii_db();
         let text = "range of e is EMP range of m is EMP retrieve (e.NAME) \
                     where e.MGR# = m.E#";
-        let out = execute(&db, text).unwrap();
+        let out = lower_bound(&db, text).unwrap();
         assert!(
             out.stats.used_hash_join(),
             "expected a hash join:\n{}",
@@ -489,7 +686,8 @@ mod tests {
             .unwrap()
             .create_index(vec![e_no])
             .unwrap();
-        let out = execute(&db, "range of e is EMP retrieve (e.NAME) where e.E# = 4335").unwrap();
+        let out =
+            lower_bound(&db, "range of e is EMP retrieve (e.NAME) where e.E# = 4335").unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.stats.used_index(), "plan:\n{}", out.physical_plan());
         assert_eq!(out.stats.rows_examined(), 1, "index probe touches one row");
@@ -497,7 +695,7 @@ mod tests {
 
         // Without the index the same query scans all rows.
         let db2 = emp_table_ii_db();
-        let out2 = execute(
+        let out2 = lower_bound(
             &db2,
             "range of e is EMP retrieve (e.NAME) where e.E# = 4335",
         )
@@ -512,16 +710,18 @@ mod tests {
     #[test]
     fn maybe_band_is_requested_through_the_engine() {
         let db = emp_table_ii_db();
-        let maybe = execute_maybe(
+        let maybe = run(
             &db,
             "range of e is EMP retrieve (e.NAME, e.E#) \
              where (e.SEX = \"F\" and e.TEL# > 2634000) or (e.TEL# < 2634000)",
+            Truth::Ni,
+            OptimizeOptions::default(),
         )
         .unwrap();
         assert_eq!(maybe.len(), 3);
         assert_eq!(maybe.stats.ni_rows(), 3);
         // The sure band stays empty, as in the seed test above.
-        let sure = execute(&db, FIGURE_1_LIKE).unwrap();
+        let sure = lower_bound(&db, FIGURE_1_LIKE).unwrap();
         assert!(sure.is_empty());
     }
 
@@ -538,12 +738,15 @@ mod tests {
         assert!(prepared.valid_for(&db));
         assert_eq!(prepared.schema_version, db.schema_version());
 
-        let opts = nullrel_exec::OptimizeOptions::default();
-        let sure = execute_prepared(&db, &prepared, Truth::True, opts).unwrap();
-        assert_eq!(sure.rows, execute(&db, FIGURE_1_LIKE).unwrap().rows);
+        let opts = OptimizeOptions::default();
+        let sure = run(&db, &prepared, Truth::True, opts).unwrap();
+        assert_eq!(sure.rows, lower_bound(&db, FIGURE_1_LIKE).unwrap().rows);
         assert_eq!(sure.columns, vec!["e.NAME", "e.E#"]);
-        let maybe = execute_prepared(&db, &prepared, Truth::Ni, opts).unwrap();
-        assert_eq!(maybe.rows, execute_maybe(&db, FIGURE_1_LIKE).unwrap().rows);
+        let maybe = run(&db, &prepared, Truth::Ni, opts).unwrap();
+        assert_eq!(
+            maybe.rows,
+            run(&db, FIGURE_1_LIKE, Truth::Ni, opts).unwrap().rows
+        );
         assert_eq!(maybe.len(), 3);
 
         // DML: still valid, and the prepared plan sees the new data.
@@ -558,7 +761,7 @@ mod tests {
             )
             .unwrap();
         assert!(prepared.valid_for(&db), "DML must not invalidate");
-        let after = execute_prepared(&db, &prepared, Truth::True, opts).unwrap();
+        let after = run(&db, &prepared, Truth::True, opts).unwrap();
         assert_eq!(after.len(), 1);
         assert!(after.contains_row(&[Some(Value::str("BROWN")), Some(Value::int(4335))]));
 
@@ -569,6 +772,4 @@ mod tests {
     }
 
     use crate::analyze::resolve;
-    use crate::eval::execute_maybe;
-    use crate::eval::execute_resolved_naive;
 }

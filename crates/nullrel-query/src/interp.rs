@@ -336,7 +336,7 @@ mod tests {
 
         // The ni evaluation excludes BROWN in both variants (experiment E4's
         // headline contrast).
-        let ni = crate::eval::execute(&db, gap_free).unwrap();
+        let ni = crate::run(&db, gap_free, nullrel_core::Truth::True, Default::default()).unwrap();
         assert!(ni.is_empty());
     }
 
@@ -398,7 +398,7 @@ mod tests {
             "no nulls, no tautology checks"
         );
         // Agreement with the ni evaluation on total data (Section 7).
-        let ni = crate::eval::execute(&db, q).unwrap();
+        let ni = crate::run(&db, q, nullrel_core::Truth::True, Default::default()).unwrap();
         assert_eq!(ni.len(), 2);
     }
 

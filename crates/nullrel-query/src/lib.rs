@@ -8,10 +8,11 @@
 //! * [`analyze`] / [`plan`] — resolution against a [`nullrel_storage::Database`]
 //!   and translation to the generalized relational algebra, with each range
 //!   variable given a disjoint attribute scope.
-//! * [`eval`] — the paper's **`ni` lower-bound evaluation** `‖Q‖∗`,
-//!   executed through the `nullrel-exec` physical engine (optimizer, index
-//!   selection, hash joins, streaming minimisation) with the seed's
-//!   tree-walk evaluation kept as a differential oracle.
+//! * [`eval`] — the paper's **`ni` lower-bound evaluation** `‖Q‖∗` and its
+//!   MAYBE band: [`run`] evaluates a query and [`explain`] reports the
+//!   executed plan, both through the `nullrel-exec` physical engine
+//!   (optimizer, index selection, hash joins, streaming minimisation), with
+//!   the seed's tree-walk evaluation kept as a differential oracle.
 //! * [`interp`] + [`tautology`] — the **"unknown"-interpretation baseline**:
 //!   the correct lower bound under unknown nulls requires deciding, per
 //!   candidate tuple, whether the substituted where clause is a tautology
@@ -36,15 +37,10 @@ pub use analyze::{resolve, ResolvedQuery};
 pub use ast::{AttrRef, Query, RangeDecl, Term, WhereExpr};
 pub use error::{QueryError, QueryResult};
 pub use eval::{
-    execute, execute_maybe, execute_prepared, execute_query, execute_resolved,
-    execute_resolved_naive, execute_with, prepare, Prepared, QueryOutput,
+    execute_resolved_naive, explain, prepare, run, ExplainMode, Input, Prepared, QueryOutput,
 };
 pub use interp::{execute_unknown, execute_unknown_query, Certainty, UnknownOutput, UnknownStats};
 pub use parser::parse;
-pub use plan::{
-    explain_analyze, explain_analyze_expr, explain_analyze_expr_with, explain_analyze_with,
-    explain_physical, explain_physical_expr, explain_physical_expr_with, explain_physical_with,
-};
 pub use tautology::{decide, decide_with_assumptions, Decision, Formula, Operand};
 
 /// The verbatim text of the paper's Figure 1 (query Q_A).

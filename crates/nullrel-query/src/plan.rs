@@ -16,13 +16,9 @@
 
 use nullrel_core::algebra::Expr;
 use nullrel_core::predicate::Predicate;
-use nullrel_core::universe::{AttrSet, Universe};
-use nullrel_obs::Phase;
-use nullrel_storage::Database;
+use nullrel_core::universe::AttrSet;
 
 use crate::analyze::ResolvedQuery;
-use crate::error::QueryResult;
-use crate::parser::parse;
 
 /// Builds the logical plan for a resolved query with literal scans.
 pub fn plan(resolved: &ResolvedQuery) -> Expr {
@@ -63,260 +59,20 @@ pub fn explain(resolved: &ResolvedQuery) -> String {
     plan(resolved).explain(&resolved.universe)
 }
 
-/// The full `--explain` report for a query: the logical plan, the
-/// optimizer rules that fired (cost-based join ordering included), and the
-/// executed physical plan annotated with real access-path counters (rows
-/// examined/returned, `ni` rows, index usage) next to the optimizer's
-/// `est_rows` cardinality estimates, closed by the plan's mean q-error so
-/// estimation drift is visible at a glance.
-pub fn explain_physical(db: &Database, text: &str) -> QueryResult<String> {
-    explain_physical_with(db, text, nullrel_exec::OptimizeOptions::default())
-}
-
-/// [`explain_physical`] with explicit engine options — in particular the
-/// degree-of-parallelism ceiling: operators the engine fans out report
-/// their granted degree and per-worker row counters
-/// (`par=4 workers=[…/… …]`) in the physical section.
-pub fn explain_physical_with(
-    db: &Database,
-    text: &str,
-    options: nullrel_exec::OptimizeOptions,
-) -> QueryResult<String> {
-    let query = parse(text)?;
-    let resolved = crate::analyze::resolve_lazy(db, &query)?;
-    let logical = plan_access(&resolved);
-    explain_physical_expr_with(db, &logical, &resolved.universe, options)
-}
-
-/// The full `--explain` report for an arbitrary algebra [`Expr`] evaluated
-/// against the database's catalog. QUEL covers only
-/// select/project/join plans, so set operators, division, and the
-/// union-join — which the engine now streams natively — are explained
-/// through this entry point.
-pub fn explain_physical_expr(
-    db: &Database,
-    expr: &Expr,
-    universe: &Universe,
-) -> QueryResult<String> {
-    explain_physical_expr_with(db, expr, universe, nullrel_exec::OptimizeOptions::default())
-}
-
-/// [`explain_physical_expr`] with explicit engine options. With
-/// [`nullrel_exec::OptimizeOptions::adaptive`] set, the physical section
-/// shows every executed stage (operator labels suffixed `@stageN`, their
-/// `hist=` bucket annotations included) and the `re-opt@op` events that
-/// re-planned the remaining stages.
-pub fn explain_physical_expr_with(
-    db: &Database,
-    expr: &Expr,
-    universe: &Universe,
-    options: nullrel_exec::OptimizeOptions,
-) -> QueryResult<String> {
-    let optimized = nullrel_exec::optimize_with(expr, db, options);
-    let stats = if options.adaptive.is_some() {
-        let (_, stats) = nullrel_exec::execute_expr_with(expr, db, universe, options)?;
-        stats
-    } else {
-        let pipeline = nullrel_exec::compile_with(
-            &optimized.expr,
-            db,
-            universe,
-            nullrel_core::tvl::Truth::True,
-            options,
-        )?;
-        let (_, stats) = pipeline.run()?;
-        stats
-    };
-    let mut out = String::new();
-    out.push_str("logical:\n");
-    out.push_str(&expr.explain(universe));
-    if !optimized.applied.is_empty() {
-        out.push_str("rules:\n");
-        for rule in &optimized.applied {
-            out.push_str("  ");
-            out.push_str(rule);
-            out.push('\n');
-        }
-        if stats.reoptimized() {
-            // The rules above describe the *initial* static plan; the
-            // re-opt events in the physical section replanned later
-            // stages against observed statistics.
-            out.push_str("  (initial plan — re-opt events below replanned later stages)\n");
-        }
-    }
-    out.push_str("physical (executed):\n");
-    out.push_str(&stats.render());
-    out.push_str(&estimation_line(&stats));
-    Ok(out)
-}
-
-/// The closing `estimation:` line of explain reports: the plan's mean
-/// q-error when at least one operator carried a cardinality estimate,
-/// `q-err=n/a` otherwise (e.g. literal-only plans with no catalog).
-fn estimation_line(stats: &nullrel_exec::ExecStats) -> String {
-    match stats.estimation_error() {
-        Some(q) => format!(
-            "estimation: mean q-error {q:.2} over {} operator(s)\n",
-            stats.ops.iter().filter(|o| o.est_rows.is_some()).count()
-        ),
-        None => "estimation: q-err=n/a (no operator carried an estimate)\n".to_owned(),
-    }
-}
-
-/// `EXPLAIN ANALYZE`: parses, plans, and **executes** the query with
-/// per-tuple operator timing armed, then reports the executed physical
-/// plan annotated with wall-clock self-time per operator, its share of
-/// total query time, actual vs. estimated rows with per-operator q-error,
-/// and granted vs. used parallelism — closed by a `phases:` line breaking
-/// the query lifecycle into parse/plan/optimize/compile/run.
-pub fn explain_analyze(db: &Database, text: &str) -> QueryResult<String> {
-    explain_analyze_with(db, text, nullrel_exec::OptimizeOptions::default())
-}
-
-/// [`explain_analyze`] with explicit engine options (degree of
-/// parallelism, adaptive staging, join-ordering strategy).
-pub fn explain_analyze_with(
-    db: &Database,
-    text: &str,
-    options: nullrel_exec::OptimizeOptions,
-) -> QueryResult<String> {
-    // Arm per-tuple timing before anything runs: every operator the
-    // compiler builds is wrapped in a `TimedOp` while the guard lives.
-    let _timing = nullrel_obs::TimingGuard::new();
-    let _query_trace = nullrel_obs::begin_query(format!("EXPLAIN ANALYZE {text}"));
-    let start = std::time::Instant::now();
-    let (query, parse_d) = nullrel_obs::phase_timed(Phase::Parse, || parse(text));
-    let query = query?;
-    let (planned, plan_d) = nullrel_obs::phase_timed(Phase::Plan, || {
-        let resolved = crate::analyze::resolve_lazy(db, &query)?;
-        let logical = plan_access(&resolved);
-        QueryResult::Ok((resolved, logical))
-    });
-    let (resolved, logical) = planned?;
-    analyze_expr(
-        db,
-        &logical,
-        &resolved.universe,
-        options,
-        Some((parse_d, plan_d)),
-        start,
-    )
-}
-
-/// [`explain_analyze`] for an arbitrary algebra [`Expr`] — how set
-/// operators, division, and union-join plans (outside the QUEL subset)
-/// are analyzed.
-pub fn explain_analyze_expr(
-    db: &Database,
-    expr: &Expr,
-    universe: &Universe,
-) -> QueryResult<String> {
-    explain_analyze_expr_with(db, expr, universe, nullrel_exec::OptimizeOptions::default())
-}
-
-/// [`explain_analyze_expr`] with explicit engine options.
-pub fn explain_analyze_expr_with(
-    db: &Database,
-    expr: &Expr,
-    universe: &Universe,
-    options: nullrel_exec::OptimizeOptions,
-) -> QueryResult<String> {
-    let _timing = nullrel_obs::TimingGuard::new();
-    let _query_trace = nullrel_obs::begin_query("EXPLAIN ANALYZE (expr)");
-    analyze_expr(db, expr, universe, options, None, std::time::Instant::now())
-}
-
-fn analyze_expr(
-    db: &Database,
-    expr: &Expr,
-    universe: &Universe,
-    options: nullrel_exec::OptimizeOptions,
-    parse_plan: Option<(std::time::Duration, std::time::Duration)>,
-    start: std::time::Instant,
-) -> QueryResult<String> {
-    use nullrel_exec::fmt_duration;
-    use std::time::Duration;
-    let (optimized, optimize_d) = nullrel_obs::phase_timed(Phase::Optimize, || {
-        nullrel_exec::optimize_with(expr, db, options)
-    });
-    let (stats, compile_d, run_d) = if options.adaptive.is_some() {
-        // Adaptive execution interleaves compile and run per stage; the
-        // whole staged loop is reported as run time.
-        let run = std::time::Instant::now();
-        let (_, stats) = nullrel_exec::execute_expr_with(expr, db, universe, options)?;
-        (stats, Duration::ZERO, run.elapsed())
-    } else {
-        let (pipeline, compile_d) = nullrel_obs::phase_timed(Phase::Compile, || {
-            nullrel_exec::compile_with(
-                &optimized.expr,
-                db,
-                universe,
-                nullrel_core::tvl::Truth::True,
-                options,
-            )
-        });
-        let pipeline = pipeline?;
-        let (ran, run_d) = nullrel_obs::phase_timed(Phase::Run, || pipeline.run());
-        let (_, stats) = ran?;
-        (stats, compile_d, run_d)
-    };
-    let total = start.elapsed();
-    nullrel_obs::recorder::annotate(|r| {
-        r.rows_in = stats.rows_examined() as u64;
-        r.rows_out = stats.rows_returned() as u64;
-        r.batches = stats.batches() as u64;
-        r.par_granted = stats.max_parallelism() as u32;
-        r.par_used = stats.max_workers_used() as u32;
-        r.q_error = stats.estimation_error();
-        r.reopts = stats.reopts.len() as u32;
-        r.mem_rows = stats.peak_mem_rows() as u64;
-        r.mem_bytes = stats.peak_mem_bytes() as u64;
-        r.plan = stats.render();
-    });
-    let mut out = String::new();
-    out.push_str("logical:\n");
-    out.push_str(&expr.explain(universe));
-    if !optimized.applied.is_empty() {
-        out.push_str("rules:\n");
-        for rule in &optimized.applied {
-            out.push_str("  ");
-            out.push_str(rule);
-            out.push('\n');
-        }
-    }
-    out.push_str("physical (analyzed):\n");
-    out.push_str(&stats.render_analyze(run_d));
-    out.push_str(&estimation_line(&stats));
-    out.push_str("phases:");
-    if let Some((parse_d, plan_d)) = parse_plan {
-        out.push_str(&format!(
-            " parse={} plan={}",
-            fmt_duration(parse_d),
-            fmt_duration(plan_d)
-        ));
-    }
-    out.push_str(&format!(
-        " optimize={} compile={} run={} total={}\n",
-        fmt_duration(optimize_d),
-        if options.adaptive.is_some() {
-            "(staged)".to_owned()
-        } else {
-            fmt_duration(compile_d)
-        },
-        fmt_duration(run_d),
-        fmt_duration(total)
-    ));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze::resolve;
+    use crate::eval::{explain as explain_report, ExplainMode, Input};
     use crate::parser::parse;
     use nullrel_core::algebra::NoSource;
     use nullrel_core::value::Value;
+    use nullrel_exec::OptimizeOptions;
     use nullrel_storage::{Database, SchemaBuilder};
+
+    fn explain_executed(db: &Database, text: &str) -> crate::QueryResult<String> {
+        explain_report(db, text, OptimizeOptions::default(), ExplainMode::Executed)
+    }
 
     fn ps_db() -> Database {
         let mut db = Database::new();
@@ -358,7 +114,7 @@ mod tests {
     /// Acceptance: queries over the full algebra explain to dedicated
     /// streaming operators — no fallback/oracle-scan node appears.
     #[test]
-    fn explain_physical_expr_shows_streaming_set_operators() {
+    fn explained_exprs_show_streaming_set_operators() {
         use nullrel_core::predicate::Predicate;
         use nullrel_core::tvl::CompareOp;
         use nullrel_core::universe::attr_set;
@@ -372,19 +128,28 @@ mod tests {
                 .select(Predicate::attr_const(s, CompareOp::Eq, k))
                 .project(attr_set([p]))
         };
+        let explain_expr = |expr: &Expr| {
+            explain_report(
+                &db,
+                Input::Expr(expr, &u),
+                OptimizeOptions::default(),
+                ExplainMode::Executed,
+            )
+            .unwrap()
+        };
         let division = Expr::named("PS").divide(attr_set([s]), by("s2"));
-        let report = explain_physical_expr(&db, &division, &u).unwrap();
+        let report = explain_expr(&division);
         assert!(report.contains("Divide over [S#]"), "{report}");
         assert!(!report.contains("EvalScan"), "{report}");
 
         let setops = by("s1").difference(by("s2")).union(by("s3"));
-        let report = explain_physical_expr(&db, &setops, &u).unwrap();
+        let report = explain_expr(&setops);
         assert!(report.contains("Union"), "{report}");
         assert!(report.contains("Difference"), "{report}");
         assert!(!report.contains("EvalScan"), "{report}");
 
         let uj = Expr::named("PS").union_join(Expr::named("PS"), attr_set([s]));
-        let report = explain_physical_expr(&db, &uj, &u).unwrap();
+        let report = explain_expr(&uj);
         assert!(report.contains("UnionJoin on [S#]"), "{report}");
         assert!(!report.contains("EvalScan"), "{report}");
     }
@@ -392,25 +157,26 @@ mod tests {
     /// The parallel engine's degree is visible per operator in explain
     /// reports, with per-worker row counters.
     #[test]
-    fn explain_physical_with_reports_parallel_degree() {
-        use nullrel_exec::{OptimizeOptions, Parallelism};
+    fn explain_reports_parallel_degree() {
+        use nullrel_exec::Parallelism;
         let db = ps_db();
         let options = OptimizeOptions {
             parallelism: Parallelism::Threads(4),
             parallel_row_threshold: 0,
             ..OptimizeOptions::default()
         };
-        let report = explain_physical_with(
+        let report = explain_report(
             &db,
             "range of a is PS retrieve (a.P#) where a.S# = \"s1\"",
             options,
+            ExplainMode::Executed,
         )
         .unwrap();
         assert!(report.contains("par=4"), "{report}");
         assert!(report.contains("workers=["), "{report}");
         // Default options keep the serial engine (no NULLREL_THREADS set
         // in unit tests): no degree annotations appear.
-        let serial = explain_physical(&db, "range of a is PS retrieve (a.P#) where a.S# = \"s1\"");
+        let serial = explain_executed(&db, "range of a is PS retrieve (a.P#) where a.S# = \"s1\"");
         if std::env::var("NULLREL_THREADS").is_err() {
             assert!(!serial.unwrap().contains("par="), "serial by default");
         }
@@ -419,10 +185,10 @@ mod tests {
     /// Satellite: explain reports estimated next to actual row counts and
     /// close with the plan's mean q-error.
     #[test]
-    fn explain_physical_reports_estimates_and_q_error() {
+    fn explain_reports_estimates_and_q_error() {
         let db = ps_db();
         let report =
-            explain_physical(&db, "range of a is PS retrieve (a.P#) where a.S# = \"s1\"").unwrap();
+            explain_executed(&db, "range of a is PS retrieve (a.P#) where a.S# = \"s1\"").unwrap();
         assert!(report.contains("est="), "{report}");
         assert!(report.contains("estimation: mean q-error"), "{report}");
     }
@@ -430,9 +196,9 @@ mod tests {
     /// A three-range query goes through the cost-based join enumerator and
     /// the rule shows up in the explain report.
     #[test]
-    fn explain_physical_shows_cost_based_join_ordering() {
+    fn explain_shows_cost_based_join_ordering() {
         let db = ps_db();
-        let report = explain_physical(
+        let report = explain_executed(
             &db,
             "range of a is PS range of b is PS range of c is PS retrieve (a.S#) \
              where a.P# = b.P# and b.S# = c.S#",

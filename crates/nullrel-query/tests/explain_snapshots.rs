@@ -1,7 +1,7 @@
-//! Golden-file snapshots of the explain surfaces (the observability PR's
-//! satellite): `explain_physical`, `explain_physical_expr`, `EXPLAIN
-//! ANALYZE` (timings masked), the TRUE and MAYBE band plans, at serial and
-//! 4-thread degrees.
+//! Golden-file snapshots of the explain surfaces: `explain` over a QUEL
+//! text and over an algebra expression, in both `ExplainMode`s
+//! (`EXPLAIN ANALYZE` timings masked), and the TRUE and MAYBE band plans,
+//! at serial and 4-thread degrees.
 //!
 //! Timings, percentages, and per-worker morsel spreads are
 //! scheduling-dependent, so [`mask`] replaces them with stable tokens
@@ -16,12 +16,9 @@ use nullrel_core::predicate::Predicate;
 use nullrel_core::tvl::{CompareOp, Truth};
 use nullrel_core::universe::attr_set;
 use nullrel_core::value::Value;
-use nullrel_exec::{execute_expr_band_with, OptimizeOptions, Parallelism};
+use nullrel_exec::{execute, OptimizeOptions, Parallelism};
 use nullrel_query::plan::plan_access;
-use nullrel_query::{
-    explain_analyze_expr_with, explain_analyze_with, explain_physical_expr_with,
-    explain_physical_with, parse, resolve,
-};
+use nullrel_query::{explain, parse, resolve, ExplainMode, Input};
 use nullrel_storage::{Database, SchemaBuilder};
 
 const JOIN_QUERY: &str = "range of e is EMP range of m is EMP retrieve (e.NAME) \
@@ -153,14 +150,14 @@ fn check_golden(name: &str, actual: &str) {
 #[test]
 fn explain_physical_join_serial() {
     let db = emp_db();
-    let report = explain_physical_with(&db, JOIN_QUERY, options(1)).unwrap();
+    let report = explain(&db, JOIN_QUERY, options(1), ExplainMode::Executed).unwrap();
     check_golden("explain_physical_join_serial", &mask(&report));
 }
 
 #[test]
 fn explain_physical_join_threads4() {
     let db = emp_db();
-    let report = explain_physical_with(&db, JOIN_QUERY, options(4)).unwrap();
+    let report = explain(&db, JOIN_QUERY, options(4), ExplainMode::Executed).unwrap();
     check_golden("explain_physical_join_threads4", &mask(&report));
 }
 
@@ -176,21 +173,27 @@ fn explain_physical_expr_setops() {
             .project(attr_set([name]))
     };
     let setops = by("M").difference(by("F")).union(by("M"));
-    let report = explain_physical_expr_with(&db, &setops, &u, options(1)).unwrap();
+    let report = explain(
+        &db,
+        Input::Expr(&setops, &u),
+        options(1),
+        ExplainMode::Executed,
+    )
+    .unwrap();
     check_golden("explain_physical_expr_setops", &mask(&report));
 }
 
 #[test]
 fn explain_analyze_join_serial() {
     let db = emp_db();
-    let report = explain_analyze_with(&db, JOIN_QUERY, options(1)).unwrap();
+    let report = explain(&db, JOIN_QUERY, options(1), ExplainMode::Analyzed).unwrap();
     check_golden("explain_analyze_join_serial", &mask(&report));
 }
 
 #[test]
 fn explain_analyze_join_threads4() {
     let db = emp_db();
-    let report = explain_analyze_with(&db, JOIN_QUERY, options(4)).unwrap();
+    let report = explain(&db, JOIN_QUERY, options(4), ExplainMode::Analyzed).unwrap();
     check_golden("explain_analyze_join_threads4", &mask(&report));
 }
 
@@ -207,7 +210,13 @@ fn explain_analyze_vectorized_division_threads4() {
         .select(Predicate::attr_const(mgr, CompareOp::Ge, 0))
         .project(attr_set([mgr, sex]))
         .divide(attr_set([mgr]), Expr::named("EMP").project(attr_set([sex])));
-    let report = explain_analyze_expr_with(&db, &division, &u, options(4)).unwrap();
+    let report = explain(
+        &db,
+        Input::Expr(&division, &u),
+        options(4),
+        ExplainMode::Analyzed,
+    )
+    .unwrap();
     check_golden(
         "explain_analyze_vectorized_division_threads4",
         &mask(&report),
@@ -228,7 +237,13 @@ fn explain_analyze_drain_setops_threads4() {
             .project(attr_set([name]))
     };
     let setops = by("M").difference(by("F")).x_intersect(by("M"));
-    let report = explain_analyze_expr_with(&db, &setops, &u, options(4)).unwrap();
+    let report = explain(
+        &db,
+        Input::Expr(&setops, &u),
+        options(4),
+        ExplainMode::Analyzed,
+    )
+    .unwrap();
     check_golden("explain_analyze_drain_setops_threads4", &mask(&report));
 }
 
@@ -240,10 +255,8 @@ fn band_plans_true_and_maybe() {
     let text = "range of e is EMP retrieve (e.NAME, e.E#) where e.MGR# > 3";
     let resolved = resolve(&db, &parse(text).unwrap()).unwrap();
     let expr = plan_access(&resolved);
-    let (_, true_stats) =
-        execute_expr_band_with(&expr, &db, &resolved.universe, Truth::True, options(1)).unwrap();
-    let (_, maybe_stats) =
-        execute_expr_band_with(&expr, &db, &resolved.universe, Truth::Ni, options(1)).unwrap();
+    let (_, true_stats) = execute(&expr, &db, &resolved.universe, Truth::True, options(1)).unwrap();
+    let (_, maybe_stats) = execute(&expr, &db, &resolved.universe, Truth::Ni, options(1)).unwrap();
     let combined = format!(
         "TRUE band:\n{}MAYBE band:\n{}",
         true_stats.render(),

@@ -7,12 +7,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use nullrel_core::algebra::Expr;
 use nullrel_core::predicate::Predicate;
-use nullrel_core::tvl::CompareOp;
+use nullrel_core::tvl::{CompareOp, Truth};
 use nullrel_core::universe::AttrId;
 use nullrel_core::value::Value;
-use nullrel_exec::{execute_expr_with, OptimizeOptions, Parallelism};
+use nullrel_exec::{execute, OptimizeOptions, Parallelism};
 use nullrel_obs::{install_sink, metrics, uninstall_sink, RingSink};
-use nullrel_query::{execute, explain_analyze_expr_with};
+use nullrel_query::{explain, run, ExplainMode, Input};
 use nullrel_storage::{Database, SchemaBuilder};
 
 /// The process-global sink and slow-log are shared across this binary's
@@ -130,8 +130,13 @@ fn emp_db() -> Database {
 fn explain_analyze_covers_every_star_join_operator() {
     let db = star_db(400);
     let plan = star_plan(&db);
-    let report =
-        explain_analyze_expr_with(&db, &plan, db.universe(), OptimizeOptions::default()).unwrap();
+    let report = explain(
+        &db,
+        Input::Expr(&plan, db.universe()),
+        OptimizeOptions::default(),
+        ExplainMode::Analyzed,
+    )
+    .unwrap();
     let physical = report
         .split("physical (analyzed):\n")
         .nth(1)
@@ -183,7 +188,7 @@ fn chrome_trace_of_parallel_run_has_one_lane_per_worker() {
     for _ in 0..50 {
         {
             let _q = nullrel_obs::begin_query("e14 star join, 4 threads");
-            execute_expr_with(&plan, &db, db.universe(), options).unwrap();
+            execute(&plan, &db, db.universe(), Truth::True, options).unwrap();
         }
         let t = sink.latest().expect("query trace delivered to the sink");
         if t.max_lane() == 4 {
@@ -235,9 +240,11 @@ fn slow_query_log_captures_full_traces() {
     nullrel_obs::set_slow_query_ms(Some(0));
     let before = nullrel_obs::slow_log().len();
     let slow_count_before = metrics::SLOW_QUERIES.get();
-    execute(
+    run(
         &db,
         "range of e is EMP range of m is EMP retrieve (e.NAME) where e.MGR# = m.E#",
+        Truth::True,
+        OptimizeOptions::default(),
     )
     .unwrap();
     nullrel_obs::set_slow_query_ms(None);
@@ -257,7 +264,13 @@ fn slow_query_log_captures_full_traces() {
 
     // Disarmed again: queries no longer reach the slow log.
     let after = nullrel_obs::slow_log().len();
-    execute(&db, "range of e is EMP retrieve (e.NAME)").unwrap();
+    run(
+        &db,
+        "range of e is EMP retrieve (e.NAME)",
+        Truth::True,
+        OptimizeOptions::default(),
+    )
+    .unwrap();
     assert_eq!(nullrel_obs::slow_log().len(), after);
 }
 
@@ -268,9 +281,11 @@ fn slow_query_log_captures_full_traces() {
 fn query_execution_feeds_the_metrics_registry() {
     let db = emp_db();
     let before = metrics::snapshot();
-    let out = execute(
+    let out = run(
         &db,
         "range of e is EMP range of m is EMP retrieve (e.NAME) where e.MGR# = m.E#",
+        Truth::True,
+        OptimizeOptions::default(),
     )
     .unwrap();
     assert!(!out.is_empty());

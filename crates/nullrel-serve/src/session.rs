@@ -20,16 +20,24 @@
 //!
 //! `QUEL`/`MAYBE` texts are parsed, resolved, and logically planned once
 //! per session ([`nullrel_query::prepare`]) and replayed on every
-//! repetition ([`nullrel_query::execute_prepared`]). Entries are
-//! invalidated by schema evolution (the snapshot's schema version moves)
-//! and evicted FIFO beyond [`PREPARED_CACHE_CAP`] texts.
+//! repetition ([`nullrel_query::run`] over [`Input::Prepared`]). Entries
+//! are invalidated by schema evolution (the snapshot's schema version
+//! moves) and evicted FIFO beyond [`PREPARED_CACHE_CAP`] texts.
+//!
+//! ## One entry point
+//!
+//! Every query request goes through [`nullrel_query::run`] or
+//! [`nullrel_query::explain`]: `QUEL`/`MAYBE` as prepared queries, `EXPR`/
+//! `EXPRMAYBE` as [`Input::Expr`] over the snapshot's universe, `EXPLAIN`/
+//! `ANALYZE` as texts. So each request's flight record carries its band,
+//! row counts and executed plan whichever surface it arrived on.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use nullrel_core::tvl::Truth;
-use nullrel_query::{execute_prepared, prepare, Prepared, QueryOutput};
+use nullrel_query::{explain, prepare, run, ExplainMode, Input, Prepared, QueryOutput};
 use nullrel_storage::{Snapshot, VersionedDatabase};
 
 use crate::metrics;
@@ -108,7 +116,7 @@ impl Session {
 
     fn run_quel(&mut self, text: &str, band: Truth) -> Result<Vec<String>, String> {
         let prepared = self.prepared(text)?;
-        let output = execute_prepared(self.snapshot.db(), &prepared, band, self.config.options)
+        let output = run(self.snapshot.db(), &prepared, band, self.config.options)
             .map_err(|e| e.to_string())?;
         Ok(render_output(&output))
     }
@@ -116,15 +124,20 @@ impl Session {
     fn run_expr(&mut self, text: &str, band: Truth) -> Result<Vec<String>, String> {
         let db = self.snapshot.db();
         let expr = crate::expr::parse_expr(text, db.universe())?;
-        let (rel, _stats) = nullrel_exec::execute_expr_band_with(
-            &expr,
+        let output = run(
             db,
-            db.universe(),
+            Input::Expr(&expr, db.universe()),
             band,
             self.config.options,
         )
         .map_err(|e| e.to_string())?;
-        Ok(crate::expr::render_rows(rel.tuples(), db.universe()))
+        Ok(crate::expr::render_rows(&output.rows, db.universe()))
+    }
+
+    fn run_explain(&self, text: &str, mode: ExplainMode) -> Result<Vec<String>, String> {
+        explain(self.snapshot.db(), text, self.config.options, mode)
+            .map(|report| vec![report.trim_end().to_owned()])
+            .map_err(|e| e.to_string())
     }
 
     fn run_insert(&mut self, rest: &str) -> Result<Vec<String>, String> {
@@ -192,16 +205,8 @@ impl Session {
             Request::Maybe(text) => self.run_quel(text, Truth::Ni),
             Request::Expr(text) => self.run_expr(text, Truth::True),
             Request::ExprMaybe(text) => self.run_expr(text, Truth::Ni),
-            Request::Explain(text) => {
-                nullrel_query::explain_physical_with(self.snapshot.db(), text, self.config.options)
-                    .map(|report| vec![report.trim_end().to_owned()])
-                    .map_err(|e| e.to_string())
-            }
-            Request::Analyze(text) => {
-                nullrel_query::explain_analyze_with(self.snapshot.db(), text, self.config.options)
-                    .map(|report| vec![report.trim_end().to_owned()])
-                    .map_err(|e| e.to_string())
-            }
+            Request::Explain(text) => self.run_explain(text, ExplainMode::Executed),
+            Request::Analyze(text) => self.run_explain(text, ExplainMode::Analyzed),
             Request::Insert(rest) => self.run_insert(rest),
             Request::Delete(rest) => self.run_delete(rest),
             Request::Pin => {
@@ -339,8 +344,17 @@ mod tests {
 
     const QUERY: &str = "range of x is PS retrieve (x.S#) where x.P# = \"p1\"";
 
+    /// The prepared-cache counters are process-wide, so the tests that move
+    /// them take turns; otherwise one test's misses land inside another's
+    /// before/after window.
+    fn prepared_counters() -> std::sync::MutexGuard<'static, ()> {
+        static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn quel_round_trip_and_prepared_cache() {
+        let _counters = prepared_counters();
         let vdb = vdb();
         let mut s = session(&vdb);
         let hits = metrics::PREPARED_HITS.get();
@@ -362,6 +376,7 @@ mod tests {
 
     #[test]
     fn pinned_sessions_freeze_while_following_sessions_see_commits() {
+        let _counters = prepared_counters();
         let vdb = vdb();
         let mut pinned = session(&vdb);
         let mut follower = session(&vdb);
@@ -385,6 +400,7 @@ mod tests {
 
     #[test]
     fn staleness_bound_repins_long_pinned_sessions() {
+        let _counters = prepared_counters();
         let vdb = vdb();
         let mut config = ServeConfig::pinned_for_tests();
         config.max_staleness = 2;
@@ -403,6 +419,7 @@ mod tests {
 
     #[test]
     fn schema_evolution_invalidates_prepared_entries() {
+        let _counters = prepared_counters();
         let vdb = vdb();
         let mut s = session(&vdb);
         s.handle(&Request::Quel(QUERY.to_owned())).unwrap();
@@ -419,6 +436,7 @@ mod tests {
 
     #[test]
     fn expr_delete_epoch_and_errors() {
+        let _counters = prepared_counters();
         let vdb = vdb();
         let mut s = session(&vdb);
         let out = s

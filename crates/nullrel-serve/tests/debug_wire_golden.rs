@@ -180,6 +180,22 @@ fn debug_surfaces_over_the_wire() {
         .expect("MAYBE request recorded");
     assert_eq!(maybe.band, "MAYBE");
 
+    // An algebra expression runs through the same entry point as QUEL, so
+    // its record carries the band, the result size and the plan too.
+    let lines = client
+        .send("EXPRMAYBE (select (= MGR# 1) (scan EMP))")
+        .unwrap()
+        .unwrap();
+    let rows: u64 = lines[0].strip_prefix("rows=").unwrap().parse().unwrap();
+    let record = &nullrel_obs::recorder::recent(1)[0];
+    assert!(record.text.starts_with("EXPRMAYBE"), "{}", record.text);
+    assert_eq!(record.band, "MAYBE");
+    assert_eq!(record.rows_out, rows);
+    assert!(!record.plan.is_empty());
+
     nullrel_obs::set_slow_query_ms(None);
+    // Close the connection first: `stop` joins the workers, and one still
+    // blocked reading an open client would never return.
+    drop(client);
     server.stop();
 }

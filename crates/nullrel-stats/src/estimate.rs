@@ -23,7 +23,8 @@
 //!   the definite band) shrunk by each divisor row.
 //!
 //! Estimates are heuristics: they steer plan choice and are reported next
-//! to actual row counts in `explain_physical`, but never affect results.
+//! to actual row counts in `nullrel_query::explain`, but never affect
+//! results.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};

@@ -9,7 +9,8 @@
 
 use nullrel::core::display::render_relation;
 use nullrel::core::prelude::*;
-use nullrel::query::{execute, FIGURE_1_QUERY};
+use nullrel::exec::OptimizeOptions;
+use nullrel::query::{run, FIGURE_1_QUERY};
 use nullrel::storage::{Database, SchemaBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -70,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Figure 1's query on Table II: the lower bound is empty because every
     // TEL# is the no-information null.
-    let out = execute(&db, FIGURE_1_QUERY)?;
+    let out = run(&db, FIGURE_1_QUERY, Truth::True, OptimizeOptions::default())?;
     println!("Q_A on Table II (ni lower bound):\n{}", out.render());
 
     // Information arrives: BROWN's telephone number becomes known.
@@ -80,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &Predicate::attr_const(e_no, CompareOp::Eq, 4335),
         &[(tel, Some(Value::int(2_639_452)))],
     )?;
-    let out = execute(&db, FIGURE_1_QUERY)?;
+    let out = run(&db, FIGURE_1_QUERY, Truth::True, OptimizeOptions::default())?;
     println!("Q_A after BROWN's TEL# is recorded:\n{}", out.render());
     Ok(())
 }

@@ -7,9 +7,10 @@
 //! ```
 
 use nullrel::core::prelude::*;
+use nullrel::exec::OptimizeOptions;
 use nullrel::query::{
-    execute, execute_maybe, execute_unknown, explain_physical, parse, plan::explain, resolve,
-    FIGURE_1_QUERY, FIGURE_2_QUERY,
+    execute_unknown, explain, parse, plan, resolve, run, ExplainMode, FIGURE_1_QUERY,
+    FIGURE_2_QUERY,
 };
 use nullrel::storage::{Database, SchemaBuilder};
 
@@ -51,14 +52,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- Figure 1 (query Q_A) ---------------------------------");
     println!("{FIGURE_1_QUERY}\n");
     let resolved = resolve(&db, &parse(FIGURE_1_QUERY)?)?;
-    println!("Logical plan:\n{}", explain(&resolved));
+    println!("Logical plan:\n{}", plan::explain(&resolved));
 
-    let ni = execute(&db, FIGURE_1_QUERY)?;
+    let ni = run(&db, FIGURE_1_QUERY, Truth::True, OptimizeOptions::default())?;
     println!("ni lower bound ‖Q‖*:\n{}", ni.render());
 
     // The MAYBE band, requested through the physical engine's truth-band
     // support: rows whose qualification is ni rather than TRUE.
-    let maybe = execute_maybe(&db, FIGURE_1_QUERY)?;
+    let maybe = run(&db, FIGURE_1_QUERY, Truth::Ni, OptimizeOptions::default())?;
     println!("MAYBE band (qualification = ni):\n{}", maybe.render());
 
     let unknown = execute_unknown(&db, FIGURE_1_QUERY, &[], 10_000)?;
@@ -80,8 +81,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `--explain` style report: logical plan, optimizer rules, and the
     // executed physical plan with real access-path counters. The self-join
     // runs as a HashJoin, not a Cartesian product.
-    println!("{}", explain_physical(&db, FIGURE_2_QUERY)?);
-    let ni = execute(&db, FIGURE_2_QUERY)?;
+    println!(
+        "{}",
+        explain(
+            &db,
+            FIGURE_2_QUERY,
+            OptimizeOptions::default(),
+            ExplainMode::Executed
+        )?
+    );
+    let ni = run(&db, FIGURE_2_QUERY, Truth::True, OptimizeOptions::default())?;
     println!("ni lower bound ‖Q‖*:\n{}", ni.render());
     println!(
         "executed physical plan (again, from the query output):\n{}",

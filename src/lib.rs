@@ -46,7 +46,8 @@ pub use nullrel_storage as storage;
 /// The most commonly used items from every layer, for examples and tests.
 pub mod prelude {
     pub use nullrel_core::prelude::*;
-    pub use nullrel_query::{execute, execute_unknown, parse};
+    pub use nullrel_exec::OptimizeOptions;
+    pub use nullrel_query::{execute_unknown, parse, run};
     pub use nullrel_storage::{Database, SchemaBuilder};
 }
 

@@ -11,10 +11,8 @@ use proptest::prelude::*;
 
 use nullrel::core::algebra::{Expr, NoSource};
 use nullrel::core::prelude::*;
-use nullrel::exec::{
-    compile_with, execute_expr_band_with, optimize_with, OptimizeOptions, Parallelism,
-};
-use nullrel::query::{execute_with, parse, resolve};
+use nullrel::exec::{compile_with, execute, optimize_with, OptimizeOptions, Parallelism};
+use nullrel::query::{parse, resolve, run};
 use nullrel::storage::{Database, SchemaBuilder};
 
 fn options(adaptive: Option<f64>, threads: usize) -> OptimizeOptions {
@@ -36,11 +34,10 @@ fn assert_adaptive_matches_static(plan: &Expr, u: &Universe) {
     let oracle = plan.eval(&NoSource).expect("oracle evaluates");
     for threads in [1usize, 4] {
         for band in [Truth::True, Truth::Ni] {
-            let (static_res, _) =
-                execute_expr_band_with(plan, &NoSource, u, band, options(None, threads))
-                    .expect("static engine runs");
+            let (static_res, _) = execute(plan, &NoSource, u, band, options(None, threads))
+                .expect("static engine runs");
             let (adaptive_res, stats) =
-                execute_expr_band_with(plan, &NoSource, u, band, options(Some(1.0), threads))
+                execute(plan, &NoSource, u, band, options(Some(1.0), threads))
                     .expect("adaptive engine runs");
             assert_eq!(
                 adaptive_res,
@@ -188,8 +185,8 @@ fn adaptive_query_outputs_are_byte_identical() {
          where e.MGR# = m.E# and m.MGR# = b.E# and b.SEX = \"F\"",
     ] {
         for threads in [1usize, 4] {
-            let static_out = execute_with(&db, text, options(None, threads)).unwrap();
-            let adaptive_out = execute_with(&db, text, options(Some(1.0), threads)).unwrap();
+            let static_out = run(&db, text, Truth::True, options(None, threads)).unwrap();
+            let adaptive_out = run(&db, text, Truth::True, options(Some(1.0), threads)).unwrap();
             assert_eq!(adaptive_out.columns, static_out.columns, "{text}");
             assert_eq!(adaptive_out.column_attrs, static_out.column_attrs, "{text}");
             assert_eq!(
@@ -226,8 +223,7 @@ fn adaptive_off_is_byte_identical_to_the_static_engine() {
         .select(Predicate::attr_attr(a, CompareOp::Eq, c))
         .project(attr_set([a, b]));
     let opts = options(None, 1);
-    let (via_execute, exec_stats) =
-        execute_expr_band_with(&plan, &NoSource, &u, Truth::True, opts).unwrap();
+    let (via_execute, exec_stats) = execute(&plan, &NoSource, &u, Truth::True, opts).unwrap();
     let optimized = optimize_with(&plan, &NoSource, opts);
     let (direct, direct_stats) = compile_with(&optimized.expr, &NoSource, &u, Truth::True, opts)
         .unwrap()

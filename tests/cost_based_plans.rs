@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use nullrel::core::algebra::{Expr, NoSource};
 use nullrel::core::prelude::*;
-use nullrel::exec::{compile_band, execute_expr, execute_expr_with, JoinOrdering, OptimizeOptions};
+use nullrel::exec::{compile_band, execute, JoinOrdering, OptimizeOptions};
 use nullrel::storage::{Database, SchemaBuilder};
 
 fn declaration() -> OptimizeOptions {
@@ -105,9 +105,9 @@ proptest! {
         let dims = [d0, d1, d2];
         let plan = star_plan(&dims, &fact, &dim_keys, &dim_vals, &fact_keys);
         let oracle = plan.eval(&NoSource).unwrap();
-        let (cost_based, stats) = execute_expr(&plan, &NoSource, &u).unwrap();
+        let (cost_based, stats) = execute(&plan, &NoSource, &u, Truth::True, OptimizeOptions::default()).unwrap();
         let (declaration, _) =
-            execute_expr_with(&plan, &NoSource, &u, declaration()).unwrap();
+            execute(&plan, &NoSource, &u, Truth::True, declaration()).unwrap();
         prop_assert_eq!(&cost_based, &oracle, "cost-based vs oracle:\n{}", stats.render());
         prop_assert_eq!(&declaration, &oracle, "declaration-order vs oracle");
     }
@@ -223,14 +223,15 @@ fn catalog_star_join_runs_cost_based_and_agrees() {
                 .and(Predicate::attr_attr(fks[2], CompareOp::Eq, keys[2])),
         );
     let oracle = plan.eval(&db).unwrap();
-    let (cost_based, stats) = execute_expr(&plan, &db, &u).unwrap();
+    let (cost_based, stats) =
+        execute(&plan, &db, &u, Truth::True, OptimizeOptions::default()).unwrap();
     assert_eq!(cost_based, oracle, "plan:\n{}", stats.render());
     assert!(
         !stats.used_op("Product"),
         "the enumerator must avoid products:\n{}",
         stats.render()
     );
-    let (declaration, decl_stats) = execute_expr_with(&plan, &db, &u, declaration()).unwrap();
+    let (declaration, decl_stats) = execute(&plan, &db, &u, Truth::True, declaration()).unwrap();
     assert_eq!(declaration, oracle, "plan:\n{}", decl_stats.render());
     assert!(
         decl_stats.used_op("Product"),
@@ -278,8 +279,16 @@ fn index_nested_loop_join_agrees_with_hash_join() {
         right_attr: k,
         right: Box::new(Expr::named("BIG")),
     };
-    let (inl, inl_stats) = execute_expr(&join, &db, &u2).unwrap();
-    let (hash, hash_stats) = execute_expr(&join, &db_plain, &u2).unwrap();
+    let (inl, inl_stats) =
+        execute(&join, &db, &u2, Truth::True, OptimizeOptions::default()).unwrap();
+    let (hash, hash_stats) = execute(
+        &join,
+        &db_plain,
+        &u2,
+        Truth::True,
+        OptimizeOptions::default(),
+    )
+    .unwrap();
     assert_eq!(inl, hash);
     assert!(
         inl_stats.used_index_nested_loop_join(),

@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 
 use nullrel::core::prelude::*;
+use nullrel::exec::OptimizeOptions;
 use nullrel::obs::recorder;
 use nullrel::storage::{Database, SchemaBuilder};
 
@@ -72,7 +73,7 @@ fn workload_log_matches_a_naive_replay() {
     ];
 
     // The naive side: tally per *label* (the recorder fingerprints the
-    // begin_query label, which execute_maybe prefixes with "MAYBE").
+    // begin_query label, which a MAYBE-band `run` prefixes with "MAYBE").
     let mut expected: HashMap<u64, (u64, u64)> = HashMap::new(); // fp -> (count, rows)
     let mut run_order: Vec<u64> = Vec::new();
     for (text, maybe, times) in script {
@@ -84,10 +85,22 @@ fn workload_log_matches_a_naive_replay() {
                 text.replace(' ', "  ")
             };
             let (rows, label) = if *maybe {
-                let out = nullrel::query::execute_maybe(&db, &variant).unwrap();
+                let out = nullrel::query::run(
+                    &db,
+                    variant.as_str(),
+                    Truth::Ni,
+                    OptimizeOptions::default(),
+                )
+                .unwrap();
                 (out.rows.len() as u64, format!("MAYBE {variant}"))
             } else {
-                let out = nullrel::query::execute(&db, &variant).unwrap();
+                let out = nullrel::query::run(
+                    &db,
+                    variant.as_str(),
+                    Truth::True,
+                    OptimizeOptions::default(),
+                )
+                .unwrap();
                 (out.rows.len() as u64, variant)
             };
             let (fp, _) = recorder::fingerprint(&label);

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use nullrel::core::algebra::{Expr, NoSource};
 use nullrel::core::lattice::hashed::{merge_antichains, minimal};
 use nullrel::core::prelude::*;
-use nullrel::exec::{execute_expr_band_with, execute_expr_with, OptimizeOptions, Parallelism};
+use nullrel::exec::{execute, OptimizeOptions, Parallelism};
 use nullrel::query::plan::plan_access;
 use nullrel::query::{execute_resolved_naive, parse, resolve};
 use nullrel::storage::{Database, SchemaBuilder};
@@ -86,12 +86,13 @@ fn quel_fixtures_agree_at_every_degree() {
         let expr = plan_access(&resolved);
         let oracle = XRelation::from_tuples(execute_resolved_naive(&resolved).unwrap().rows);
         let (serial, serial_stats) =
-            execute_expr_with(&expr, &db, &resolved.universe, threads(1)).unwrap();
+            execute(&expr, &db, &resolved.universe, Truth::True, threads(1)).unwrap();
         assert_eq!(serial, oracle, "serial vs oracle on {text:?}");
-        let (one, one_stats) = execute_expr_with(
+        let (one, one_stats) = execute(
             &expr,
             &db,
             &resolved.universe,
+            Truth::True,
             OptimizeOptions {
                 parallelism: Parallelism::Threads(1),
                 ..threads(1)
@@ -104,7 +105,7 @@ fn quel_fixtures_agree_at_every_degree() {
             "threads=1 must be byte-identical to serial on {text:?}"
         );
         let (par, par_stats) =
-            execute_expr_with(&expr, &db, &resolved.universe, threads(4)).unwrap();
+            execute(&expr, &db, &resolved.universe, Truth::True, threads(4)).unwrap();
         assert_eq!(
             par,
             oracle,
@@ -142,7 +143,7 @@ fn algebra_fixtures_agree_at_every_degree_in_both_bands() {
         // TRUE band: both degrees equal the tree-walk oracle.
         let oracle = expr.eval(&db).unwrap();
         for n in [1, 4] {
-            let (got, stats) = execute_expr_with(expr, &db, &u, threads(n)).unwrap();
+            let (got, stats) = execute(expr, &db, &u, Truth::True, threads(n)).unwrap();
             assert_eq!(
                 got,
                 oracle,
@@ -151,10 +152,9 @@ fn algebra_fixtures_agree_at_every_degree_in_both_bands() {
             );
         }
         // MAYBE band: the parallel pipeline must reproduce the serial one.
-        let (serial_ni, _) = execute_expr_band_with(expr, &db, &u, Truth::Ni, threads(1)).unwrap();
+        let (serial_ni, _) = execute(expr, &db, &u, Truth::Ni, threads(1)).unwrap();
         for n in [1, 4] {
-            let (got, stats) =
-                execute_expr_band_with(expr, &db, &u, Truth::Ni, threads(n)).unwrap();
+            let (got, stats) = execute(expr, &db, &u, Truth::Ni, threads(n)).unwrap();
             assert_eq!(
                 got,
                 serial_ni,
@@ -194,12 +194,12 @@ fn large_self_join_runs_partitioned_and_matches_serial() {
                 where e.MGR# = m.E#";
     let resolved = resolve(&db, &parse(text).unwrap()).unwrap();
     let expr = plan_access(&resolved);
-    let (serial, _) = execute_expr_with(&expr, &db, &resolved.universe, threads(1)).unwrap();
+    let (serial, _) = execute(&expr, &db, &resolved.universe, Truth::True, threads(1)).unwrap();
     let par_options = OptimizeOptions {
         parallel_row_threshold: nullrel::exec::DEFAULT_PARALLEL_ROW_THRESHOLD,
         ..threads(4)
     };
-    let (par, stats) = execute_expr_with(&expr, &db, &resolved.universe, par_options).unwrap();
+    let (par, stats) = execute(&expr, &db, &resolved.universe, Truth::True, par_options).unwrap();
     assert_eq!(par, serial);
     assert!(
         stats.used_parallel(),
@@ -208,10 +208,8 @@ fn large_self_join_runs_partitioned_and_matches_serial() {
     );
     assert_eq!(stats.max_parallelism(), 4, "{}", stats.render());
     // The MAYBE band of the same plan, at both degrees.
-    let (serial_ni, _) =
-        execute_expr_band_with(&expr, &db, &resolved.universe, Truth::Ni, threads(1)).unwrap();
-    let (par_ni, _) =
-        execute_expr_band_with(&expr, &db, &resolved.universe, Truth::Ni, par_options).unwrap();
+    let (serial_ni, _) = execute(&expr, &db, &resolved.universe, Truth::Ni, threads(1)).unwrap();
+    let (par_ni, _) = execute(&expr, &db, &resolved.universe, Truth::Ni, par_options).unwrap();
     assert_eq!(par_ni, serial_ni);
 }
 
@@ -305,7 +303,7 @@ proptest! {
             .project(attr_set([a0, a3]));
         let oracle = plan.eval(&NoSource).unwrap();
         for n in [1usize, 4] {
-            let (got, _) = execute_expr_with(&plan, &NoSource, &u, threads(n)).unwrap();
+            let (got, _) = execute(&plan, &NoSource, &u, Truth::True, threads(n)).unwrap();
             prop_assert_eq!(&got, &oracle, "threads={}", n);
         }
     }
@@ -324,9 +322,9 @@ proptest! {
             .select(Predicate::attr_const(a0, CompareOp::Eq, k))
             .project(attr_set([a0, a1]));
         let (serial, _) =
-            execute_expr_band_with(&plan, &NoSource, &u, Truth::Ni, threads(1)).unwrap();
+            execute(&plan, &NoSource, &u, Truth::Ni, threads(1)).unwrap();
         let (par, _) =
-            execute_expr_band_with(&plan, &NoSource, &u, Truth::Ni, threads(4)).unwrap();
+            execute(&plan, &NoSource, &u, Truth::Ni, threads(4)).unwrap();
         prop_assert_eq!(par, serial);
     }
 
@@ -362,7 +360,7 @@ proptest! {
             };
             let oracle = expr.eval(&NoSource).unwrap();
             for n in [1usize, 4] {
-                let (got, _) = execute_expr_with(&expr, &NoSource, &u, threads(n)).unwrap();
+                let (got, _) = execute(&expr, &NoSource, &u, Truth::True, threads(n)).unwrap();
                 prop_assert_eq!(&got, &oracle, "{} at threads={}", label, n);
             }
         }

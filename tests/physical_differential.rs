@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use nullrel::core::algebra::{Expr, NoSource};
 use nullrel::core::prelude::*;
-use nullrel::exec::{execute_expr, execute_expr_band};
-use nullrel::query::{execute, execute_resolved_naive, parse, resolve};
+use nullrel::exec::{execute, OptimizeOptions};
+use nullrel::query::{execute_resolved_naive, parse, resolve, run};
 use nullrel::storage::{Database, SchemaBuilder};
 
 /// The PS relation of display (6.6), including the suppliers with unknown
@@ -45,7 +45,7 @@ fn ps_database() -> Database {
 /// Runs one QUEL query through both evaluators and asserts identical
 /// results (the engine's rows are the minimal representation either way).
 fn differential(db: &Database, text: &str) {
-    let engine = execute(db, text).expect("engine evaluates");
+    let engine = run(db, text, Truth::True, OptimizeOptions::default()).expect("engine evaluates");
     let resolved = resolve(db, &parse(text).unwrap()).unwrap();
     let oracle = execute_resolved_naive(&resolved).expect("oracle evaluates");
     assert_eq!(
@@ -92,10 +92,13 @@ fn indexed_and_unindexed_plans_agree() {
         "range of a is PS range of b is PS retrieve (a.P#, b.P#) \
          where a.S# = \"s1\" and b.S# = \"s2\" and a.P# = b.P#",
     ];
-    let before: Vec<_> = queries.iter().map(|q| execute(&db, q).unwrap()).collect();
+    let before: Vec<_> = queries
+        .iter()
+        .map(|q| run(&db, *q, Truth::True, OptimizeOptions::default()).unwrap())
+        .collect();
     db.table_mut("PS").unwrap().create_index(vec![s]).unwrap();
     for (q, plain) in queries.iter().zip(before) {
-        let indexed = execute(&db, q).unwrap();
+        let indexed = run(&db, *q, Truth::True, OptimizeOptions::default()).unwrap();
         assert_eq!(
             indexed.rows, plain.rows,
             "index changed the answer of {q:?}"
@@ -119,7 +122,14 @@ fn indexed_and_unindexed_plans_agree() {
 /// (`EvalScan`) node exists anywhere in the plan.
 fn differential_expr(db: &Database, expr: &Expr, operator: &str) -> XRelation {
     let oracle = expr.eval(db).expect("oracle evaluates");
-    let (engine, stats) = execute_expr(expr, db, db.universe()).expect("engine evaluates");
+    let (engine, stats) = execute(
+        expr,
+        db,
+        db.universe(),
+        Truth::True,
+        OptimizeOptions::default(),
+    )
+    .expect("engine evaluates");
     assert_eq!(
         engine, oracle,
         "engine and oracle disagree on {operator}\nphysical plan:\n{stats}"
@@ -247,7 +257,7 @@ fn renamed_subplans_stay_pipelined() {
         .rename([(p, q)].into_iter().collect())
         .product(Expr::named("PS").project(attr_set([s])));
     let oracle = expr.eval(&db).unwrap();
-    let (engine, stats) = execute_expr(&expr, &db, &u).unwrap();
+    let (engine, stats) = execute(&expr, &db, &u, Truth::True, OptimizeOptions::default()).unwrap();
     assert_eq!(engine, oracle, "plan:\n{stats}");
     assert!(stats.used_op("Rename"), "plan:\n{stats}");
     assert!(!stats.render().contains("EvalScan"), "plan:\n{stats}");
@@ -290,7 +300,8 @@ fn maybe_band_flows_through_set_operators_and_division() {
     let plan = Expr::literal(a.clone())
         .select(pred.clone())
         .union(Expr::literal(b.clone()).select(pred.clone()));
-    let (engine, stats) = execute_expr_band(&plan, &NoSource, &u, Truth::Ni).unwrap();
+    let (engine, stats) =
+        execute(&plan, &NoSource, &u, Truth::Ni, OptimizeOptions::default()).unwrap();
     let oracle = lattice::union(
         &XRelation::from_tuples(ni_band(&a, &pred)),
         &XRelation::from_tuples(ni_band(&b, &pred)),
@@ -302,7 +313,8 @@ fn maybe_band_flows_through_set_operators_and_division() {
     let plan = Expr::literal(a.clone())
         .select(pred.clone())
         .difference(Expr::literal(b.clone()));
-    let (engine, stats) = execute_expr_band(&plan, &NoSource, &u, Truth::Ni).unwrap();
+    let (engine, stats) =
+        execute(&plan, &NoSource, &u, Truth::Ni, OptimizeOptions::default()).unwrap();
     let oracle = lattice::difference(&XRelation::from_tuples(ni_band(&a, &pred)), &b);
     assert_eq!(engine, oracle, "plan:\n{stats}");
 
@@ -310,7 +322,8 @@ fn maybe_band_flows_through_set_operators_and_division() {
     let plan = Expr::literal(a.clone())
         .select(pred.clone())
         .x_intersect(Expr::literal(a.clone()).select(pred.clone()));
-    let (engine, stats) = execute_expr_band(&plan, &NoSource, &u, Truth::Ni).unwrap();
+    let (engine, stats) =
+        execute(&plan, &NoSource, &u, Truth::Ni, OptimizeOptions::default()).unwrap();
     let band = XRelation::from_tuples(ni_band(&a, &pred));
     assert_eq!(
         engine,
@@ -323,7 +336,8 @@ fn maybe_band_flows_through_set_operators_and_division() {
     let plan = Expr::literal(a.clone())
         .select(Predicate::attr_const(s, CompareOp::Eq, "s2"))
         .divide(attr_set([s]), Expr::literal(divisor.clone()));
-    let (engine, stats) = execute_expr_band(&plan, &NoSource, &u, Truth::Ni).unwrap();
+    let (engine, stats) =
+        execute(&plan, &NoSource, &u, Truth::Ni, OptimizeOptions::default()).unwrap();
     let band = XRelation::from_tuples(ni_band(&a, &Predicate::attr_const(s, CompareOp::Eq, "s2")));
     let oracle = nullrel::core::algebra::divide(&band, &attr_set([s]), &divisor).unwrap();
     assert_eq!(engine, oracle, "plan:\n{stats}");
@@ -332,7 +346,8 @@ fn maybe_band_flows_through_set_operators_and_division() {
     let plan = Expr::literal(a.clone())
         .select(pred.clone())
         .union_join(Expr::literal(b.clone()), attr_set([s]));
-    let (engine, stats) = execute_expr_band(&plan, &NoSource, &u, Truth::Ni).unwrap();
+    let (engine, stats) =
+        execute(&plan, &NoSource, &u, Truth::Ni, OptimizeOptions::default()).unwrap();
     let oracle = nullrel::core::algebra::union_join(
         &XRelation::from_tuples(ni_band(&a, &pred)),
         &b,
@@ -398,7 +413,7 @@ proptest! {
             )
             .project(attr_set([a0, a3]));
         let oracle = plan.eval(&NoSource).unwrap();
-        let (engine, _) = execute_expr(&plan, &NoSource, &u).unwrap();
+        let (engine, _) = execute(&plan, &NoSource, &u, Truth::True, OptimizeOptions::default()).unwrap();
         prop_assert_eq!(engine, oracle);
     }
 
@@ -421,7 +436,7 @@ proptest! {
             )
             .project(attr_set([a0, a2]));
         let oracle = plan.eval(&NoSource).unwrap();
-        let (engine, _) = execute_expr(&plan, &NoSource, &u).unwrap();
+        let (engine, _) = execute(&plan, &NoSource, &u, Truth::True, OptimizeOptions::default()).unwrap();
         prop_assert_eq!(engine, oracle);
     }
 
@@ -435,7 +450,7 @@ proptest! {
             .select(Predicate::attr_const(a0, CompareOp::Ne, k))
             .project(attr_set([a0, a1]));
         let oracle = plan.eval(&NoSource).unwrap();
-        let (engine, _) = execute_expr(&plan, &NoSource, &u).unwrap();
+        let (engine, _) = execute(&plan, &NoSource, &u, Truth::True, OptimizeOptions::default()).unwrap();
         prop_assert_eq!(engine, oracle);
     }
 
@@ -456,7 +471,7 @@ proptest! {
             .difference(Expr::literal(b).x_intersect(Expr::literal(c)))
             .select(Predicate::attr_const(a0, CompareOp::Ne, k));
         let oracle = plan.eval(&NoSource).unwrap();
-        let (engine, _) = execute_expr(&plan, &NoSource, &u).unwrap();
+        let (engine, _) = execute(&plan, &NoSource, &u, Truth::True, OptimizeOptions::default()).unwrap();
         prop_assert_eq!(engine, oracle);
     }
 
@@ -468,7 +483,7 @@ proptest! {
         let a0 = AttrId::from_index(0);
         let plan = Expr::literal(rel).divide(attr_set([a0]), Expr::literal(divisor));
         let oracle = plan.eval(&NoSource).unwrap();
-        let (engine, _) = execute_expr(&plan, &NoSource, &u).unwrap();
+        let (engine, _) = execute(&plan, &NoSource, &u, Truth::True, OptimizeOptions::default()).unwrap();
         prop_assert_eq!(engine, oracle);
     }
 
@@ -482,12 +497,12 @@ proptest! {
         let uj = Expr::literal(left.clone())
             .union_join(Expr::literal(right.clone()), on.clone());
         let oracle = uj.eval(&NoSource).unwrap();
-        let (engine, _) = execute_expr(&uj, &NoSource, &u).unwrap();
+        let (engine, _) = execute(&uj, &NoSource, &u, Truth::True, OptimizeOptions::default()).unwrap();
         prop_assert_eq!(engine, oracle, "union-join");
 
         let ej = Expr::literal(left).equijoin(Expr::literal(right), on);
         let oracle = ej.eval(&NoSource).unwrap();
-        let (engine, _) = execute_expr(&ej, &NoSource, &u).unwrap();
+        let (engine, _) = execute(&ej, &NoSource, &u, Truth::True, OptimizeOptions::default()).unwrap();
         prop_assert_eq!(engine, oracle, "equijoin");
     }
 
@@ -504,7 +519,7 @@ proptest! {
         let plan = Expr::literal(a.clone())
             .select(pred.clone())
             .union(Expr::literal(b.clone()).select(pred.clone()));
-        let (engine, _) = execute_expr_band(&plan, &NoSource, &u, Truth::Ni).unwrap();
+        let (engine, _) = execute(&plan, &NoSource, &u, Truth::Ni, OptimizeOptions::default()).unwrap();
         let ni = |rel: &XRelation| -> XRelation {
             rel.tuples()
                 .iter()

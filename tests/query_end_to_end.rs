@@ -3,7 +3,8 @@
 //! the `ni` lower-bound discipline and the "unknown" baseline.
 
 use nullrel::core::prelude::*;
-use nullrel::query::{execute, execute_unknown, parse, FIGURE_1_QUERY, FIGURE_2_QUERY};
+use nullrel::exec::OptimizeOptions;
+use nullrel::query::{execute_unknown, parse, run, FIGURE_1_QUERY, FIGURE_2_QUERY};
 use nullrel::storage::{Database, SchemaBuilder};
 
 fn emp_db() -> Database {
@@ -46,7 +47,7 @@ fn emp_db() -> Database {
 #[test]
 fn figure1_ni_versus_unknown() {
     let db = emp_db();
-    let ni = execute(&db, FIGURE_1_QUERY).unwrap();
+    let ni = run(&db, FIGURE_1_QUERY, Truth::True, OptimizeOptions::default()).unwrap();
     assert!(ni.is_empty());
 
     let unknown = execute_unknown(&db, FIGURE_1_QUERY, &[], 10_000).unwrap();
@@ -70,7 +71,7 @@ fn figure1_after_update() {
             &[(tel, Some(Value::int(2_639_452)))],
         )
         .unwrap();
-    let out = execute(&db, FIGURE_1_QUERY).unwrap();
+    let out = run(&db, FIGURE_1_QUERY, Truth::True, OptimizeOptions::default()).unwrap();
     assert_eq!(out.len(), 1);
     assert!(out.contains_row(&[Some(Value::str("BROWN")), Some(Value::int(4335))]));
 }
@@ -80,7 +81,7 @@ fn figure1_after_update() {
 #[test]
 fn figure2_constraints_and_ni() {
     let db = emp_db();
-    let ni = execute(&db, FIGURE_2_QUERY).unwrap();
+    let ni = run(&db, FIGURE_2_QUERY, Truth::True, OptimizeOptions::default()).unwrap();
     let names = ni.column_values("e.NAME");
     assert!(names.contains(&Value::str("SMITH")));
     assert!(names.contains(&Value::str("BROWN")));
@@ -132,7 +133,13 @@ fn figure2_constraints_and_ni() {
     assert!(with.sure_contains(&[Some(Value::str("BROWN"))]));
     // The ni evaluation on the same database simply drops the uncertain
     // tuples — no constraint reasoning needed.
-    let ni_unknown_db = execute(&db_unknown, FIGURE_2_QUERY).unwrap();
+    let ni_unknown_db = run(
+        &db_unknown,
+        FIGURE_2_QUERY,
+        Truth::True,
+        OptimizeOptions::default(),
+    )
+    .unwrap();
     assert!(!ni_unknown_db
         .column_values("e.NAME")
         .contains(&Value::str("SMITH")));
@@ -144,7 +151,7 @@ fn figure2_constraints_and_ni() {
 fn total_data_agreement() {
     let db = emp_db();
     let q = "range of e is EMP retrieve (e.NAME, e.SEX) where e.SEX = \"M\" and e.E# > 2000";
-    let ni = execute(&db, q).unwrap();
+    let ni = run(&db, q, Truth::True, OptimizeOptions::default()).unwrap();
     let unknown = execute_unknown(&db, q, &[], 10_000).unwrap();
     assert_eq!(ni.len(), unknown.sure.len());
     assert!(unknown.maybe.is_empty());
@@ -158,9 +165,21 @@ fn total_data_agreement() {
 #[test]
 fn error_paths() {
     let db = emp_db();
-    assert!(execute(&db, "range of e is MISSING retrieve (e.X)").is_err());
-    assert!(execute(&db, "range of e is EMP retrieve (e.NOPE)").is_err());
-    assert!(execute(&db, "garbage !!").is_err());
+    assert!(run(
+        &db,
+        "range of e is MISSING retrieve (e.X)",
+        Truth::True,
+        OptimizeOptions::default()
+    )
+    .is_err());
+    assert!(run(
+        &db,
+        "range of e is EMP retrieve (e.NOPE)",
+        Truth::True,
+        OptimizeOptions::default()
+    )
+    .is_err());
+    assert!(run(&db, "garbage !!", Truth::True, OptimizeOptions::default()).is_err());
     assert!(
         execute_unknown(&db, FIGURE_2_QUERY, &[], 3).is_err(),
         "budget enforced"

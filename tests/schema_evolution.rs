@@ -3,7 +3,8 @@
 //! table keeps behaving correctly under constraints, indexes, and queries.
 
 use nullrel::core::prelude::*;
-use nullrel::query::execute;
+use nullrel::exec::OptimizeOptions;
+use nullrel::query::run;
 use nullrel::storage::loader::paper;
 use nullrel::storage::{Database, SchemaBuilder};
 
@@ -104,9 +105,11 @@ fn evolved_column_is_a_first_class_citizen() {
 
     // Queries over the new column follow the lower-bound semantics: only the
     // row with a recorded TEL# qualifies.
-    let out = execute(
+    let out = run(
         &db,
         "range of e is EMP retrieve (e.NAME) where e.TEL# > 2000000",
+        Truth::True,
+        OptimizeOptions::default(),
     )
     .unwrap();
     assert_eq!(out.len(), 1);
@@ -120,9 +123,11 @@ fn evolved_column_is_a_first_class_citizen() {
             &[(tel, Some(Value::int(2_700_000)))],
         )
         .unwrap();
-    let out = execute(
+    let out = run(
         &db,
         "range of e is EMP retrieve (e.NAME) where e.TEL# > 2000000",
+        Truth::True,
+        OptimizeOptions::default(),
     )
     .unwrap();
     assert_eq!(out.len(), 2);
@@ -130,9 +135,11 @@ fn evolved_column_is_a_first_class_citizen() {
     // Dropping the column nulls it out everywhere and the query returns
     // nothing again.
     db.table_mut("EMP").unwrap().drop_column(tel).unwrap();
-    let err = execute(
+    let err = run(
         &db,
         "range of e is EMP retrieve (e.NAME) where e.TEL# > 2000000",
+        Truth::True,
+        OptimizeOptions::default(),
     );
     assert!(err.is_err(), "the column no longer exists in the schema");
 }

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use nullrel::core::prelude::*;
 use nullrel::exec::{OptimizeOptions, Parallelism};
-use nullrel::query::{execute_prepared, prepare, Prepared};
+use nullrel::query::{prepare, Prepared};
 use nullrel::storage::{Database, SchemaBuilder, VersionedDatabase};
 
 /// A query whose TRUE band (V = 1) and MAYBE band (ni V) both move as
@@ -98,7 +98,7 @@ fn options(threads: usize) -> OptimizeOptions {
 /// as a minimal x-relation (the representation the equality is defined
 /// over).
 fn run(db: &Database, prepared: &Prepared, band: Truth, threads: usize) -> XRelation {
-    let out = execute_prepared(db, prepared, band, options(threads)).expect("query runs");
+    let out = nullrel::query::run(db, prepared, band, options(threads)).expect("query runs");
     XRelation::from_tuples(out.rows)
 }
 

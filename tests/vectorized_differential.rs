@@ -8,8 +8,8 @@
 
 use nullrel::core::algebra::Expr;
 use nullrel::core::prelude::*;
-use nullrel::exec::{execute_expr_band_with, OptimizeOptions, Parallelism};
-use nullrel::query::{execute_resolved_naive, execute_with, parse, resolve};
+use nullrel::exec::{execute, OptimizeOptions, Parallelism};
+use nullrel::query::{execute_resolved_naive, parse, resolve, run};
 use nullrel::storage::{Database, SchemaBuilder};
 
 /// Engine options: vectorization pinned on/off explicitly (the defaults
@@ -105,7 +105,7 @@ fn quel_fixtures_vectorized_match_scalar_and_oracle() {
     for text in QUEL_FIXTURES {
         let resolved = resolve(&db, &parse(text).unwrap()).unwrap();
         let oracle = XRelation::from_tuples(execute_resolved_naive(&resolved).unwrap().rows);
-        let scalar = execute_with(&db, text, engine(false, 1024, 1)).unwrap();
+        let scalar = run(&db, *text, Truth::True, engine(false, 1024, 1)).unwrap();
         assert_eq!(
             XRelation::from_tuples(scalar.rows.clone()),
             oracle,
@@ -113,7 +113,7 @@ fn quel_fixtures_vectorized_match_scalar_and_oracle() {
         );
         for batch in [1, 1024] {
             for threads in [1, 4] {
-                let vec = execute_with(&db, text, engine(true, batch, threads)).unwrap();
+                let vec = run(&db, *text, Truth::True, engine(true, batch, threads)).unwrap();
                 assert_eq!(
                     vec.rows,
                     scalar.rows,
@@ -161,16 +161,14 @@ fn algebra_fixtures_vectorized_match_scalar_in_both_bands() {
     for (i, expr) in fixtures.iter().enumerate() {
         let oracle = expr.eval(&db).unwrap();
         for band in [Truth::True, Truth::Ni] {
-            let (scalar, _) =
-                execute_expr_band_with(expr, &db, &u, band, engine(false, 1024, 1)).unwrap();
+            let (scalar, _) = execute(expr, &db, &u, band, engine(false, 1024, 1)).unwrap();
             if band == Truth::True {
                 assert_eq!(scalar, oracle, "fixture {i} scalar vs oracle");
             }
             for batch in [1, 1024] {
                 for threads in [1, 4] {
                     let (vec, stats) =
-                        execute_expr_band_with(expr, &db, &u, band, engine(true, batch, threads))
-                            .unwrap();
+                        execute(expr, &db, &u, band, engine(true, batch, threads)).unwrap();
                     assert_eq!(
                         vec,
                         scalar,
@@ -206,9 +204,9 @@ fn large_scan_splits_into_batches_and_matches_scalar() {
         t.insert_named(&u, &cells).unwrap();
     }
     let text = "range of e is EMP retrieve (e.E#) where e.MGR# > 30";
-    let scalar = execute_with(&db, text, engine(false, 64, 1)).unwrap();
+    let scalar = run(&db, text, Truth::True, engine(false, 64, 1)).unwrap();
     for threads in [1, 4] {
-        let vec = execute_with(&db, text, engine(true, 64, threads)).unwrap();
+        let vec = run(&db, text, Truth::True, engine(true, 64, threads)).unwrap();
         assert_eq!(vec.rows, scalar.rows, "threads={threads}");
         if threads == 1 {
             assert_eq!(
