@@ -1,7 +1,7 @@
 //! Experiment E19: the cost of the always-on flight recorder.
 //!
 //! The recorder is the one observability layer that is **on by default**
-//! (`NULLREL_RECORDER=0` opts out), so its budget is tighter than the
+//! (`set_recording(false)` opts out), so its budget is tighter than the
 //! opt-in tracer's: recording must cost **under 2%** wall-clock on the
 //! e12 self-join (serial, through the full query entry point where the
 //! begin/annotate/finish hooks all fire) and on the e14 star join

@@ -4,7 +4,7 @@
 //!
 //! 1. **What does logging cost on the insert hot path?** Sustained
 //!    batched inserts through `commit_ops`, WAL on (a real `wal.log`,
-//!    `NULLREL_FSYNC=off` so the measurement is the serialization and
+//!    `FsyncMode::Off` so the measurement is the serialization and
 //!    write cost rather than device sync latency) vs WAL off (purely
 //!    in-memory versioning). Reported as `wal_insert_ratio` — a gated,
 //!    lower-is-better reading in the CI perf gate.

@@ -3,7 +3,7 @@
 //!
 //! Reads every `BENCH_*.json` in the baseline directory, pairs it with
 //! the same-named artifact in the fresh directory, and gates the
-//! direction-aware readings (see [`nullrel_bench::compare`]) under the
+//! direction-aware readings (see [`nullrel_bench::compare`](mod@nullrel_bench::compare)) under the
 //! relative tolerance from `NULLREL_BENCH_TOLERANCE` (default 0.25).
 //! A baseline artifact with no fresh counterpart fails the gate — a
 //! bench that silently stopped running must not pass. Exits 1 on any

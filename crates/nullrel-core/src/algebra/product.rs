@@ -3,7 +3,7 @@
 //! `R₁ × R₂ = ⌈r₁ ∨ r₂ | r₁ ∈ R₁ and r₂ ∈ R₂ are not null⌉`. The operands
 //! must have disjoint scopes (otherwise the tuple join could be undefined and
 //! the operation would silently drop pairs); overlapping scopes are reported
-//! as [`CoreError::ScopeOverlap`], and the [`rename`](crate::algebra::rename)
+//! as [`CoreError::ScopeOverlap`], and the [`rename`](fn@crate::algebra::rename)
 //! operator can be used to make scopes disjoint first.
 
 use crate::error::{CoreError, CoreResult};

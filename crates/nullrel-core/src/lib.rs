@@ -13,7 +13,7 @@
 //!
 //! | Paper | Module |
 //! |---|---|
-//! | §3 tuples, `≥`, meet `∧`, join `∨` | [`tuple`] |
+//! | §3 tuples, `≥`, meet `∧`, join `∨` | [`tuple`](mod@tuple) |
 //! | §3 universe `U`, domains `DOM(A)` | [`universe`], [`value`] |
 //! | §4 subsumption, `≅`, x-relations, minimal form, scope | [`relation`], [`xrel`] |
 //! | §4/§7 union, x-intersection, difference, `TOP_U`, pseudo-complement | [`lattice`] |

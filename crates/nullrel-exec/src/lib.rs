@@ -80,7 +80,7 @@ pub use op::{
 };
 pub use optimize::{
     optimize, optimize_with, scope_info, JoinOrdering, OptimizeOptions, Optimized, ScopeInfo,
-    DEFAULT_BATCH_ROWS, DEFAULT_PARALLEL_ROW_THRESHOLD, MAX_BATCH_ROWS,
+    DEFAULT_BATCH_ROWS, DEFAULT_PARALLEL_ROW_THRESHOLD,
 };
 pub use par_op::{
     ParDifferenceOp, ParDivisionOp, ParEquiJoinOp, ParFilterOp, ParHashJoinOp, ParMinimizeOp,

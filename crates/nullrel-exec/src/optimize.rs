@@ -86,22 +86,16 @@ pub const DEFAULT_PARALLEL_ROW_THRESHOLD: u64 = 64;
 /// cache-resident.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
-/// Ceiling on the batch size any `NULLREL_BATCH_SIZE` value can request —
-/// the same clamp-don't-honour posture as [`nullrel_par::MAX_THREADS`]. A
-/// batch's columns are materialized together, so an absurd request would
-/// turn the batching win into one giant allocation per stage.
-pub const MAX_BATCH_ROWS: usize = 1 << 20;
-
 /// Optimizer and engine knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizeOptions {
     /// Join-order strategy for multi-relation components.
     pub join_ordering: JoinOrdering,
-    /// Ceiling on the per-operator degree of parallelism. The default
-    /// reads `NULLREL_THREADS` ([`Parallelism::from_env`]); `Serial` keeps
-    /// the engine byte-identical to the single-threaded one. Each operator
-    /// still fans out only when the `nullrel-stats` cardinality estimate
-    /// of its input clears [`OptimizeOptions::parallel_row_threshold`].
+    /// Ceiling on the per-operator degree of parallelism. The default,
+    /// `Serial`, keeps the engine byte-identical to the single-threaded
+    /// one. Each operator still fans out only when the `nullrel-stats`
+    /// cardinality estimate of its input clears
+    /// [`OptimizeOptions::parallel_row_threshold`].
     pub parallelism: Parallelism,
     /// Minimum estimated input rows before an operator may fan out.
     pub parallel_row_threshold: u64,
@@ -112,76 +106,39 @@ pub struct OptimizeOptions {
     /// and when the q-error `max(est, actual) / min(est, actual)` exceeds
     /// `threshold`, the remaining plan (join order *and* parallelism
     /// grants) is re-optimized with the materialized result injected as a
-    /// literal whose statistics — histograms included — are exact. `None`
-    /// (the out-of-the-box default when `NULLREL_ADAPTIVE` is unset)
-    /// compiles exactly the static single-pipeline plan the engine always
-    /// produced. The default reads `NULLREL_ADAPTIVE`: unset, empty,
-    /// unparsable, or any value below 1.0 (q-errors are ratios ≥ 1, so
-    /// `0` is the natural "off" spelling) mean `None`; any other finite
-    /// number is the threshold.
+    /// literal whose statistics — histograms included — are exact. `None`,
+    /// the default, compiles exactly the static single-pipeline plan the
+    /// engine always produced.
     pub adaptive: Option<f64>,
-    /// Whether scan-rooted filter/project pipelines compile to the
-    /// vectorized batch-at-a-time operator ([`crate::vec_op::VectorPipeOp`])
-    /// instead of the tuple-at-a-time chain. Vectorized plans produce the
-    /// same rows, the same counter totals, and the same plan shape — the
-    /// only observable difference is the `batch=N` explain annotation. The
-    /// default reads `NULLREL_VECTORIZE`: only `0`, `off`, `false`, and
-    /// `no` (case-insensitive) disable it.
-    pub vectorize: bool,
     /// Row granularity of the vectorized pipeline's column batches
-    /// (clamped to at least 1). The default reads `NULLREL_BATCH_SIZE`;
-    /// unset, empty, or unparsable values mean [`DEFAULT_BATCH_ROWS`].
-    /// `batch_size = 1` degenerates to one-row batches — the CI matrix
-    /// runs it to prove batching never changes results.
+    /// (clamped to at least 1; default [`DEFAULT_BATCH_ROWS`]).
+    /// `batch_size = 1` degenerates to one-row batches, which
+    /// `tests/vectorized_differential.rs` runs to prove batching never
+    /// changes results.
     pub batch_size: usize,
 }
 
 impl OptimizeOptions {
-    /// Parses a `NULLREL_ADAPTIVE`-style value into an adaptive threshold
-    /// (see [`OptimizeOptions::adaptive`] for the accepted forms).
+    /// Parses a `NULLREL_ADAPTIVE`-style value into an adaptive threshold:
+    /// unset, empty, unparsable, or any value below 1.0 (q-errors are
+    /// ratios ≥ 1, so `0` is the natural "off" spelling) mean `None`; any
+    /// other finite number is the threshold.
     pub fn adaptive_from(value: Option<&str>) -> Option<f64> {
         let t = value?.trim().parse::<f64>().ok()?;
         (t.is_finite() && t >= 1.0).then_some(t)
     }
-
-    /// Parses a `NULLREL_VECTORIZE`-style value: vectorization is on unless
-    /// explicitly switched off — a misspelled knob leaves the (equivalent)
-    /// faster path enabled rather than silently changing engines.
-    pub fn vectorize_from(value: Option<&str>) -> bool {
-        !matches!(
-            value.map(|v| v.trim().to_ascii_lowercase()).as_deref(),
-            Some("0" | "off" | "false" | "no")
-        )
-    }
-
-    /// Parses a `NULLREL_BATCH_SIZE`-style value, hardened like
-    /// [`Parallelism::parse`]: surrounding whitespace is tolerated;
-    /// unset, empty, unparsable, or zero values fall back to
-    /// [`DEFAULT_BATCH_ROWS`]; absurdly large values are clamped to
-    /// [`MAX_BATCH_ROWS`] rather than honoured.
-    pub fn batch_size_from(value: Option<&str>) -> usize {
-        match value.and_then(|v| v.trim().parse::<usize>().ok()) {
-            Some(n) if n >= 1 => n.min(MAX_BATCH_ROWS),
-            _ => DEFAULT_BATCH_ROWS,
-        }
-    }
 }
 
 impl Default for OptimizeOptions {
+    /// Serial, static (not adaptive), cost-based, batch
+    /// [`DEFAULT_BATCH_ROWS`].
     fn default() -> Self {
         OptimizeOptions {
             join_ordering: JoinOrdering::default(),
             parallelism: Parallelism::default(),
             parallel_row_threshold: DEFAULT_PARALLEL_ROW_THRESHOLD,
-            adaptive: OptimizeOptions::adaptive_from(
-                std::env::var("NULLREL_ADAPTIVE").ok().as_deref(),
-            ),
-            vectorize: OptimizeOptions::vectorize_from(
-                std::env::var("NULLREL_VECTORIZE").ok().as_deref(),
-            ),
-            batch_size: OptimizeOptions::batch_size_from(
-                std::env::var("NULLREL_BATCH_SIZE").ok().as_deref(),
-            ),
+            adaptive: None,
+            batch_size: DEFAULT_BATCH_ROWS,
         }
     }
 }
@@ -1267,59 +1224,5 @@ mod tests {
         let rebuilt = and_all(parts).unwrap();
         assert_eq!(rebuilt.comparisons().len(), 2);
         assert!(and_all(Vec::new()).is_none());
-    }
-
-    /// The documented `NULLREL_VECTORIZE` / `NULLREL_BATCH_SIZE` fallback
-    /// behavior, through the pure parsers (no process-global environment
-    /// mutation — tests in this binary run concurrently).
-    #[test]
-    fn vectorize_and_batch_knob_parsing() {
-        // Vectorization is opt-out: only the explicit "off" spellings
-        // disable it, and garbage leaves it on.
-        assert!(OptimizeOptions::vectorize_from(None));
-        assert!(OptimizeOptions::vectorize_from(Some("")));
-        assert!(OptimizeOptions::vectorize_from(Some("1")));
-        assert!(OptimizeOptions::vectorize_from(Some("definitely")));
-        for off in ["0", "off", "OFF", "false", " no "] {
-            assert!(!OptimizeOptions::vectorize_from(Some(off)), "{off:?}");
-        }
-        // Batch size: positive integers pass through, everything else is
-        // the default; zero cannot be requested (a zero-row batch would
-        // never make progress).
-        assert_eq!(OptimizeOptions::batch_size_from(None), DEFAULT_BATCH_ROWS);
-        assert_eq!(
-            OptimizeOptions::batch_size_from(Some("")),
-            DEFAULT_BATCH_ROWS
-        );
-        assert_eq!(
-            OptimizeOptions::batch_size_from(Some("abc")),
-            DEFAULT_BATCH_ROWS
-        );
-        assert_eq!(
-            OptimizeOptions::batch_size_from(Some("0")),
-            DEFAULT_BATCH_ROWS
-        );
-        assert_eq!(OptimizeOptions::batch_size_from(Some("1")), 1);
-        assert_eq!(OptimizeOptions::batch_size_from(Some(" 4096 ")), 4096);
-        // Negative numbers fail the usize parse and mean the default;
-        // absurdly large requests clamp to MAX_BATCH_ROWS rather than
-        // being honoured (mirroring Parallelism::parse).
-        assert_eq!(
-            OptimizeOptions::batch_size_from(Some("-8")),
-            DEFAULT_BATCH_ROWS
-        );
-        assert_eq!(
-            OptimizeOptions::batch_size_from(Some("9999999999")),
-            MAX_BATCH_ROWS
-        );
-        assert_eq!(
-            OptimizeOptions::batch_size_from(Some(&MAX_BATCH_ROWS.to_string())),
-            MAX_BATCH_ROWS
-        );
-        assert_eq!(
-            OptimizeOptions::batch_size_from(Some("18446744073709551617")),
-            DEFAULT_BATCH_ROWS,
-            "overflowing the integer type is unparsable, not clamped"
-        );
     }
 }

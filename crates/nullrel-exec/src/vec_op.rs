@@ -271,11 +271,8 @@ fn process_ref(spec: &PipeSpec, batch: &[Tuple]) -> CoreResult<(Vec<Tuple>, Batc
 /// The fused batch-at-a-time scan pipeline operator.
 ///
 /// Built by the compiler for `Select`/`Project` chains rooted at a
-/// materialised scan when [`OptimizeOptions::vectorize`] is on; the
-/// scalar operators remain the path for everything else, so the compiler
-/// stays total.
-///
-/// [`OptimizeOptions::vectorize`]: crate::optimize::OptimizeOptions::vectorize
+/// materialised scan; the scalar operators remain the path for everything
+/// else, so the compiler stays total.
 pub struct VectorPipeOp<'a> {
     rows: Option<RowSource<'a>>,
     /// Literal scans count `rows_in` as rows are read (no storage access

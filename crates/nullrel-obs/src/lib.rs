@@ -12,7 +12,7 @@
 //!
 //! ## Tracing
 //!
-//! * [`span`] returns a RAII guard that records a monotonic
+//! * [`span()`] returns a RAII guard that records a monotonic
 //!   start/duration pair into a **lock-free per-thread span buffer** when
 //!   it drops. When no recorder is active ([`tracing_active`] is false —
 //!   one relaxed atomic load), span construction is a no-op: no clock is
@@ -29,10 +29,9 @@
 //!   JSON event format, one lane per worker, so parallel morsel timelines
 //!   render visually (open chrome://tracing or <https://ui.perfetto.dev>
 //!   and load the file).
-//! * The **slow-query log**: `NULLREL_SLOW_MS` (or
-//!   [`set_slow_query_ms`]) arms span recording process-wide and records
-//!   the full trace of any query at or over the threshold into the
-//!   built-in [`slow_log`] ring buffer.
+//! * The **slow-query log**: [`set_slow_query_ms`] arms span recording
+//!   process-wide and records the full trace of any query at or over the
+//!   threshold into the built-in [`slow_log`] ring buffer.
 //!
 //! ## Flight recorder
 //!
@@ -42,7 +41,7 @@
 //! per-fingerprint **workload log** with p50/p95/p99 latency from the
 //! shared fixed buckets. It is what the `nullrel-serve` wire commands
 //! `TOP`/`SLOW`/`HEALTH` read. Unlike tracing it defaults to on
-//! (`NULLREL_RECORDER=0` disables) and costs one thread-local record
+//! ([`recorder::set_recording`] disables it) and costs one thread-local record
 //! plus one mutex push per query — bounded by the
 //! `e19_recorder_overhead` bench at <2 %.
 //!

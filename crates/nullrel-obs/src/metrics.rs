@@ -13,8 +13,8 @@
 //! histogram and index rebuilds, reservoir staleness, adaptive re-opt
 //! events, and per-phase latency) is declared in this module and
 //! registered lazily on first render/snapshot; downstream crates add
-//! their own metrics with the [`register_counter!`],
-//! [`register_gauge!`], and [`register_histogram!`] macros.
+//! their own metrics with the [`register_counter!`](crate::register_counter!),
+//! [`register_gauge!`](crate::register_gauge!), and [`register_histogram!`](crate::register_histogram!) macros.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -48,7 +48,7 @@ pub struct Counter {
 
 impl Counter {
     /// Declares a counter; pair with registration (the
-    /// [`register_counter!`] macro does both).
+    /// [`register_counter!`](crate::register_counter!) macro does both).
     pub const fn new(name: &'static str, help: &'static str) -> Self {
         Counter {
             name,
@@ -89,7 +89,7 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Declares a gauge; pair with registration (the [`register_gauge!`]
+    /// Declares a gauge; pair with registration (the [`register_gauge!`](crate::register_gauge!)
     /// macro does both).
     pub const fn new(name: &'static str, help: &'static str) -> Self {
         Gauge {
@@ -143,7 +143,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Declares a histogram; pair with registration (the
-    /// [`register_histogram!`] macro does both).
+    /// [`register_histogram!`](crate::register_histogram!) macro does both).
     pub const fn new(name: &'static str, help: &'static str) -> Self {
         Histogram {
             name,
@@ -248,7 +248,7 @@ pub static QUERIES_EXECUTED: Counter = Counter::new(
     "Queries executed end to end",
 );
 
-/// Queries whose wall-clock met the `NULLREL_SLOW_MS` threshold.
+/// Queries whose wall-clock met the slow-query threshold.
 pub static SLOW_QUERIES: Counter = Counter::new(
     "nullrel_slow_queries_total",
     "Queries at or over the slow-query threshold",

@@ -22,16 +22,16 @@
 //! together while any token change separates them.
 //!
 //! Recording is enabled by default and can be disabled process-wide with
-//! `NULLREL_RECORDER=0` or [`set_recording`] (the `e19_recorder_overhead`
-//! bench measures the enabled-vs-disabled delta and holds it under 2 %).
-//! When disabled, [`begin`] is one relaxed atomic load and every other
-//! hook finds no in-flight record and returns immediately.
+//! [`set_recording`] (the `e19_recorder_overhead` bench measures the
+//! enabled-vs-disabled delta and holds it under 2 %). When disabled,
+//! opening a record is one relaxed atomic load and every other hook finds
+//! no in-flight record and returns immediately.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::Mutex;
 
 use crate::metrics::{Phase, LATENCY_BUCKETS_US};
 
@@ -49,12 +49,9 @@ const TEXT_CAP: usize = 200;
 /// overflow bucket.
 const BUCKETS: usize = LATENCY_BUCKETS_US.len() + 1;
 
-/// Process-wide recording switch (default on; `NULLREL_RECORDER=0`
-/// or [`set_recording`] turns it off).
+/// Process-wide recording switch (default on; [`set_recording`] turns it
+/// off).
 static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// One-time read of the `NULLREL_RECORDER` environment knob.
-static ENV: Once = Once::new();
 
 /// Records completed since process start (monotonic; survives
 /// [`reset`]).
@@ -237,27 +234,14 @@ pub struct RecorderStats {
     pub evicted: u64,
 }
 
-fn ensure_env() {
-    ENV.call_once(|| {
-        if let Ok(raw) = std::env::var("NULLREL_RECORDER") {
-            if raw.trim() == "0" {
-                ENABLED.store(false, Ordering::Relaxed);
-            }
-        }
-    });
-}
-
 /// True when the recorder is capturing queries.
 pub fn recording() -> bool {
-    ensure_env();
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Enables or disables recording process-wide, overriding the
-/// `NULLREL_RECORDER` environment knob. The overhead bench uses this to
-/// measure the enabled-vs-disabled delta.
+/// Enables or disables recording process-wide. The overhead bench uses
+/// this to measure the enabled-vs-disabled delta.
 pub fn set_recording(on: bool) {
-    ensure_env();
     ENABLED.store(on, Ordering::Relaxed);
 }
 

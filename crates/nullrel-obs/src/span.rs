@@ -30,7 +30,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::metrics;
@@ -58,9 +58,6 @@ static SLOW_MS: AtomicU64 = AtomicU64::new(SLOW_DISABLED);
 /// Serializes armed/disarmed transitions of the slow-query log so the
 /// RECORDERS adjustment matches the stored threshold.
 static SLOW_TRANSITION: Mutex<()> = Mutex::new(());
-
-/// One-time read of the `NULLREL_SLOW_MS` environment knob.
-static SLOW_ENV: Once = Once::new();
 
 /// Trace-id allocator; id 0 means "no query in scope".
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
@@ -130,7 +127,7 @@ pub fn uninstall_sink() {
 }
 
 /// Sets (or, with `None`, disables) the slow-query threshold in
-/// milliseconds, overriding the `NULLREL_SLOW_MS` environment knob.
+/// milliseconds.
 /// While armed, span recording is active and any query whose wall-clock
 /// is at or over the threshold has its full trace kept in [`slow_log`].
 pub fn set_slow_query_ms(ms: Option<u64>) {
@@ -160,21 +157,13 @@ pub fn slow_log() -> &'static RingSink {
     SLOW_LOG.get_or_init(|| RingSink::new(SLOW_LOG_CAP))
 }
 
-/// Parses the `NULLREL_SLOW_MS` environment value: `Some(0)` means
-/// "trace every query", any other number is a threshold in
+/// Parses a `NULLREL_SLOW_MS` value for the serve binary: `Some(0)`
+/// means "trace every query", any other number is a threshold in
 /// milliseconds, and an unset or unparsable value leaves the slow log
 /// off.
 pub fn parse_slow_ms(raw: Option<&str>) -> Option<u64> {
     raw.and_then(|raw| raw.trim().parse::<u64>().ok())
         .filter(|&ms| ms != SLOW_DISABLED)
-}
-
-fn ensure_slow_env() {
-    SLOW_ENV.call_once(|| {
-        if let Some(ms) = parse_slow_ms(std::env::var("NULLREL_SLOW_MS").ok().as_deref()) {
-            set_slow_query_ms(Some(ms));
-        }
-    });
 }
 
 /// The trace id the current thread is recording under (0 = none). Pool
@@ -324,7 +313,6 @@ impl Drop for TimingGuard {
 /// guard so the outer query owns the trace and the meters count the
 /// query once.
 pub fn begin_query(label: impl Into<String>) -> QueryTrace {
-    ensure_slow_env();
     let nested = LOCAL.with(|l| {
         let mut l = l.borrow_mut();
         l.query_depth += 1;
@@ -552,12 +540,6 @@ mod tests {
     #[test]
     fn slow_query_threshold_arms_and_disarms() {
         let _serial = test_lock();
-        // Exercise the transition logic only when the environment didn't
-        // arm the log for the whole process (the CI tracing leg does).
-        if std::env::var("NULLREL_SLOW_MS").is_ok() {
-            return;
-        }
-        ensure_slow_env();
         set_slow_query_ms(Some(0));
         assert_eq!(slow_query_ms(), Some(0));
         assert!(tracing_active());

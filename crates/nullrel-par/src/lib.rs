@@ -61,9 +61,11 @@ pub use stage::{
 /// The degree-of-parallelism knob: how many worker threads an engine may
 /// fan a pipeline stage out onto. The engine still gates each operator on
 /// its cardinality estimate — the knob is a ceiling, not a command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Single-threaded execution (the byte-identical serial engine).
+    /// Single-threaded execution (the byte-identical serial engine), and
+    /// the default.
+    #[default]
     Serial,
     /// Up to `n` worker threads per parallel operator. `Threads(0)` and
     /// `Threads(1)` are equivalent to [`Parallelism::Serial`].
@@ -109,21 +111,6 @@ impl Parallelism {
             Some(n) if n > 1 => Parallelism::Threads(n.min(MAX_THREADS)),
             _ => Parallelism::Serial,
         }
-    }
-
-    /// Reads the `NULLREL_THREADS` environment variable through
-    /// [`Parallelism::parse`]. This is how the CI matrix runs the whole
-    /// test suite under both engines without touching call sites.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var("NULLREL_THREADS").ok().as_deref())
-    }
-}
-
-impl Default for Parallelism {
-    /// The environment-driven default ([`Parallelism::from_env`]), so the
-    /// serial engine stays the out-of-the-box behavior.
-    fn default() -> Self {
-        Parallelism::from_env()
     }
 }
 

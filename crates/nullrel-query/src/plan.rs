@@ -174,12 +174,10 @@ mod tests {
         .unwrap();
         assert!(report.contains("par=4"), "{report}");
         assert!(report.contains("workers=["), "{report}");
-        // Default options keep the serial engine (no NULLREL_THREADS set
-        // in unit tests): no degree annotations appear.
+        // Default options keep the serial engine: no degree annotations
+        // appear.
         let serial = explain_executed(&db, "range of a is PS retrieve (a.P#) where a.S# = \"s1\"");
-        if std::env::var("NULLREL_THREADS").is_err() {
-            assert!(!serial.unwrap().contains("par="), "serial by default");
-        }
+        assert!(!serial.unwrap().contains("par="), "serial by default");
     }
 
     /// Satellite: explain reports estimated next to actual row counts and

@@ -72,12 +72,6 @@ fn options(threads: usize) -> OptimizeOptions {
             Parallelism::Threads(threads)
         },
         parallel_row_threshold: 0,
-        // Pinned: the CI matrix sets NULLREL_ADAPTIVE and
-        // NULLREL_BATCH_SIZE, which the default options inherit —
-        // snapshots must not depend on the leg.
-        adaptive: None,
-        vectorize: true,
-        batch_size: nullrel_exec::DEFAULT_BATCH_ROWS,
         ..OptimizeOptions::default()
     }
 }

@@ -228,14 +228,11 @@ fn chrome_trace_of_parallel_run_has_one_lane_per_worker() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// `NULLREL_SLOW_MS`-style slow-query logging: with the threshold at 0 ms
-/// every query is slow, and its full trace lands in the in-process ring.
+/// Slow-query logging: with the threshold at 0 ms every query is slow,
+/// and its full trace lands in the in-process ring.
 #[test]
 fn slow_query_log_captures_full_traces() {
     let _guard = global_obs_lock();
-    if std::env::var("NULLREL_SLOW_MS").is_ok() {
-        return; // the env override pins the threshold for the whole process
-    }
     let db = emp_db();
     nullrel_obs::set_slow_query_ms(Some(0));
     let before = nullrel_obs::slow_log().len();

@@ -20,7 +20,7 @@
 //!   reach (set operators, division, union-join) come in through the
 //!   s-expression surface of [`expr`].
 //! * **Observability.** Every request runs under one `nullrel-obs` query
-//!   trace (so `NULLREL_SLOW_MS` arms the slow-query log server-side),
+//!   trace (so an armed slow-query log keeps whole requests),
 //!   connection/session gauges and per-command latency histograms are
 //!   registered in the process metrics registry, and the `METRICS`
 //!   command renders the whole registry in Prometheus text format.
@@ -32,11 +32,16 @@
 //! ([`ServeConfig::threads`] threads); a session occupies its worker until
 //! the client disconnects, so the thread count bounds concurrent sessions
 //! the way a classical process-per-connection database bounds backends.
+//!
+//! The library reads no environment variable: every setting is a value
+//! its caller passes. The binary's `NULLREL_*` knobs are read in one
+//! place, [`env::Settings::from_env`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod debug;
+pub mod env;
 pub mod expr;
 pub mod metrics;
 pub mod protocol;
@@ -44,7 +49,7 @@ pub mod session;
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -55,10 +60,10 @@ use nullrel_storage::VersionedDatabase;
 use protocol::Request;
 use session::Session;
 
-/// Default listen address (`NULLREL_SERVE_ADDR` overrides).
+/// Default listen address.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7878";
 
-/// Default worker-thread count (`NULLREL_SERVE_THREADS` overrides).
+/// Default worker-thread count.
 pub const DEFAULT_THREADS: usize = 8;
 
 /// Ceiling on the worker-thread count any configuration can request.
@@ -78,47 +83,19 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Epochs a pinned session may lag before forced re-pinning.
     pub max_staleness: u64,
-    /// Data directory for durability (`NULLREL_DATA_DIR`). `Some` makes
-    /// the served database persistent: the binary opens it with
-    /// WAL + snapshot recovery, and every wire `INSERT`/`DELETE` commit
-    /// is logged before it acknowledges. `None` serves purely in memory.
+    /// Data directory for durability. `Some` makes the served database
+    /// persistent: the binary opens it with WAL + snapshot recovery, and
+    /// every wire `INSERT`/`DELETE` commit is logged before it
+    /// acknowledges. `None` serves purely in memory.
     pub data_dir: Option<std::path::PathBuf>,
-    /// Engine options every session executes with. Defaults to the
-    /// environment-driven [`OptimizeOptions::default`]; tests pin them for
-    /// deterministic plans.
+    /// Engine options every session executes with.
     pub options: OptimizeOptions,
 }
 
 impl ServeConfig {
-    /// Reads the configuration from the environment:
-    /// `NULLREL_SERVE_ADDR`, `NULLREL_SERVE_THREADS` (parsed like
-    /// [`parse_threads`]), `NULLREL_SERVE_MAX_STALENESS` (parsed like
-    /// [`parse_max_staleness`]; `0` = re-pin every request),
-    /// `NULLREL_DATA_DIR` (empty/unset = in-memory), plus the engine's
-    /// own `NULLREL_*` knobs through [`OptimizeOptions::default`].
-    pub fn from_env() -> Self {
-        ServeConfig {
-            addr: std::env::var("NULLREL_SERVE_ADDR")
-                .ok()
-                .map(|a| a.trim().to_owned())
-                .filter(|a| !a.is_empty())
-                .unwrap_or_else(|| DEFAULT_ADDR.to_owned()),
-            threads: parse_threads(std::env::var("NULLREL_SERVE_THREADS").ok().as_deref()),
-            max_staleness: parse_max_staleness(
-                std::env::var("NULLREL_SERVE_MAX_STALENESS").ok().as_deref(),
-            ),
-            data_dir: std::env::var("NULLREL_DATA_DIR")
-                .ok()
-                .map(|d| d.trim().to_owned())
-                .filter(|d| !d.is_empty())
-                .map(std::path::PathBuf::from),
-            options: OptimizeOptions::default(),
-        }
-    }
-
-    /// A loopback configuration with fully pinned engine options —
-    /// deterministic plans regardless of the `NULLREL_*` environment.
-    /// Used by this crate's tests and the golden snapshots.
+    /// A loopback configuration (OS-assigned port, 4 workers, in memory)
+    /// over the serial, static engine with no fan-out threshold. Used by
+    /// this crate's tests and the golden snapshots.
     pub fn pinned_for_tests() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
@@ -126,20 +103,10 @@ impl ServeConfig {
             max_staleness: DEFAULT_MAX_STALENESS,
             data_dir: None,
             options: OptimizeOptions {
-                parallelism: nullrel_par::Parallelism::Serial,
                 parallel_row_threshold: 0,
-                adaptive: None,
-                vectorize: true,
-                batch_size: nullrel_exec::DEFAULT_BATCH_ROWS,
                 ..OptimizeOptions::default()
             },
         }
-    }
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig::from_env()
     }
 }
 
@@ -172,6 +139,9 @@ struct Shared {
     queue: Mutex<VecDeque<TcpStream>>,
     available: Condvar,
     shutdown: AtomicBool,
+    /// Slot `i` holds a clone of the connection worker `i` is serving, so
+    /// stopping can shut down a read blocked on an idle client.
+    open: Mutex<Vec<Option<TcpStream>>>,
 }
 
 /// A running query service: the bound address plus shutdown control.
@@ -196,7 +166,7 @@ impl ServerHandle {
 
     /// Stops accepting, drains the workers, and joins every thread.
     /// Sessions in progress are allowed to finish their current request;
-    /// their connections close on the next read.
+    /// every connection's next read, or the one it is blocked in, ends.
     pub fn stop(mut self) {
         self.begin_stop();
         for t in self.threads.drain(..) {
@@ -207,6 +177,12 @@ impl ServerHandle {
     fn begin_stop(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.available.notify_all();
+        // Shutting down only the read side lets a request in progress
+        // still write its response. A worker that registers its
+        // connection after this sweep sees the flag before its first read.
+        for stream in lock(&self.shared.open).iter().flatten() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
     }
 }
 
@@ -228,12 +204,14 @@ pub fn start(vdb: Arc<VersionedDatabase>, config: ServeConfig) -> std::io::Resul
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
+    let open = Mutex::new((0..config.threads).map(|_| None).collect());
     let shared = Arc::new(Shared {
         vdb,
         config,
         queue: Mutex::new(VecDeque::new()),
         available: Condvar::new(),
         shutdown: AtomicBool::new(false),
+        open,
     });
 
     let mut threads = Vec::with_capacity(shared.config.threads + 1);
@@ -250,7 +228,7 @@ pub fn start(vdb: Arc<VersionedDatabase>, config: ServeConfig) -> std::io::Resul
         threads.push(
             std::thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared))?,
+                .spawn(move || worker_loop(&shared, i))?,
         );
     }
     Ok(ServerHandle {
@@ -283,7 +261,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
     shared.available.notify_all();
 }
 
-fn worker_loop(shared: &Shared) {
+fn worker_loop(shared: &Shared, worker: usize) {
     loop {
         let stream = {
             let mut queue = shared.queue.lock().expect("queue poisoned");
@@ -297,28 +275,40 @@ fn worker_loop(shared: &Shared) {
                 queue = shared.available.wait(queue).expect("queue poisoned");
             }
         };
-        handle_connection(stream, shared);
+        handle_connection(stream, shared, worker);
     }
 }
 
-/// RAII decrement for the active-sessions gauge (panic-safe).
-struct SessionGauge;
+/// Locks a mutex that guards no invariant a panic could break.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
 
-impl SessionGauge {
-    fn open() -> Self {
+/// A worker's hold on the connection it serves: counted in the
+/// active-sessions gauge, and a clone kept in [`Shared::open`]. Both are
+/// released on drop (panic-safe).
+struct OpenSession<'a> {
+    shared: &'a Shared,
+    worker: usize,
+}
+
+impl<'a> OpenSession<'a> {
+    fn new(shared: &'a Shared, worker: usize, stream: &TcpStream) -> Self {
         metrics::ACTIVE_SESSIONS.add(1);
-        SessionGauge
+        lock(&shared.open)[worker] = stream.try_clone().ok();
+        OpenSession { shared, worker }
     }
 }
 
-impl Drop for SessionGauge {
+impl Drop for OpenSession<'_> {
     fn drop(&mut self) {
+        lock(&self.shared.open)[self.worker] = None;
         metrics::ACTIVE_SESSIONS.add(-1);
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let _gauge = SessionGauge::open();
+fn handle_connection(stream: TcpStream, shared: &Shared, worker: usize) {
+    let _open = OpenSession::new(shared, worker, &stream);
     let Ok(mut writer) = stream.try_clone() else {
         metrics::DISCONNECTS.inc();
         return;

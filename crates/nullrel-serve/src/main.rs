@@ -5,6 +5,9 @@
 //! NULLREL_SERVE_ADDR=127.0.0.1:7878 NULLREL_SERVE_THREADS=8 nullrel-serve [script.txt]
 //! ```
 //!
+//! Its settings come from the `NULLREL_*` variables listed in
+//! [`nullrel_serve::env`].
+//!
 //! Each optional argument is a `NAME=FILE` pair loading one relation in
 //! the `nullrel-storage` loader's whitespace-table format (header line of
 //! column names, `-` for `ni`) as table `NAME`. Without arguments, the
@@ -84,7 +87,10 @@ fn seed_db(specs: &[String]) -> Database {
 }
 
 fn main() {
-    let config = nullrel_serve::ServeConfig::from_env();
+    let settings = nullrel_serve::env::Settings::from_env();
+    nullrel_obs::set_slow_query_ms(settings.slow_ms);
+    nullrel_obs::recorder::set_recording(settings.recording);
+    let config = settings.serve;
     let specs: Vec<String> = std::env::args().skip(1).collect();
     let vdb = match &config.data_dir {
         // Durable: recover whatever the directory holds (snapshot + WAL
@@ -92,8 +98,9 @@ fn main() {
         // a recovered database already has its state, possibly evolved
         // far from the seed.
         Some(dir) => {
-            let vdb = VersionedDatabase::open(dir)
-                .unwrap_or_else(|e| panic!("cannot open data dir {}: {e}", dir.display()));
+            let vdb =
+                VersionedDatabase::open_with(dir, settings.fsync, settings.snapshot_wal_bytes)
+                    .unwrap_or_else(|e| panic!("cannot open data dir {}: {e}", dir.display()));
             if vdb.pin().db().table_names().is_empty() {
                 let seed = seed_db(&specs);
                 vdb.commit(move |db| {

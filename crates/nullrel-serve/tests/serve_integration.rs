@@ -1,9 +1,13 @@
 //! Loopback integration tests: a real `TcpListener` server, real client
 //! sockets, the full wire protocol — QUEL/EXPLAIN/metrics round trips in
 //! both truth bands, concurrent sessions, snapshot pinning under
-//! concurrent commits, and session-thread saturation behavior.
+//! concurrent commits, session-thread saturation behavior, and stopping
+//! with a client still connected.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use nullrel_core::value::Value;
 use nullrel_serve::{start, Client, ServeConfig};
@@ -279,4 +283,30 @@ fn sessions_beyond_the_worker_pool_queue_up() {
         .unwrap()
         .unwrap();
     assert_eq!(out[0], "rows=2");
+}
+
+#[test]
+fn stop_returns_with_an_idle_client_connected() {
+    let server = serve();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    writer.write_all(b"EPOCH\n").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let body: usize = line.trim().strip_prefix("OK ").unwrap().parse().unwrap();
+    for _ in 0..body {
+        reader.read_line(&mut line).unwrap();
+    }
+
+    // The session's worker now blocks reading the idle connection.
+    let (stopped, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.stop();
+        stopped.send(()).unwrap();
+    });
+    done.recv_timeout(Duration::from_secs(5))
+        .expect("stop() returned within 5 s");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "client reads EOF");
 }

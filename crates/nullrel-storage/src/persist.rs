@@ -56,7 +56,7 @@ pub const WAL_FILE: &str = "wal.log";
 const MAGIC: &[u8; 8] = b"NRELSNP1";
 
 /// When (and whether) the durability layer forces writes to stable
-/// storage, configured through `NULLREL_FSYNC`.
+/// storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncMode {
     /// Sync after every WAL record and snapshot: a commit acknowledged is
@@ -86,11 +86,6 @@ impl FsyncMode {
             Some("off") => FsyncMode::Off,
             _ => FsyncMode::CommitBatch,
         }
-    }
-
-    /// [`FsyncMode::parse`] over the `NULLREL_FSYNC` environment variable.
-    pub fn from_env() -> FsyncMode {
-        FsyncMode::parse(std::env::var("NULLREL_FSYNC").ok().as_deref())
     }
 }
 

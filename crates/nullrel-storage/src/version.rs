@@ -21,8 +21,8 @@
 //!   time and no epoch ring is kept.
 //!
 //! **Durability** is layered under the same commit path
-//! ([`VersionedDatabase::open`]): when a data directory is attached, every
-//! [`commit_ops`] appends one checksummed WAL record *before* its epoch
+//! ([`VersionedDatabase::open_with`]): when a data directory is attached,
+//! every [`commit_ops`] appends one checksummed WAL record *before* its epoch
 //! publishes, full snapshots land periodically (truncating the log), and
 //! reopening the directory replays snapshot + WAL tail — skipping a torn
 //! trailing record — into exactly the database that was live, histograms
@@ -113,15 +113,17 @@ impl Durability {
     /// Writes a full snapshot of `db` at `epoch` and truncates the log.
     /// Must run under the writer lock — truncation erases records, so no
     /// commit may append between the snapshot's pin and the truncate.
+    /// Errs only if the snapshot did not land: after that `epoch` is
+    /// durable, and replay skips the records a failed truncate leaves.
     fn write_snapshot(&mut self, epoch: u64, db: &Database) -> StorageResult<u64> {
         let _span = nullrel_obs::tracing_active()
             .then(|| nullrel_obs::span(format!("snapshot at epoch {epoch}"), "durability"));
         let bytes = persist::write_snapshot(&self.dir, epoch, db, self.fsync)?;
-        self.wal.truncate()?;
+        let _ = self.wal.truncate();
         self.last_snapshot_epoch = epoch;
         SNAPSHOTS_WRITTEN.inc();
         LAST_SNAPSHOT_EPOCH.set(epoch as i64);
-        WAL_BYTES.set(0);
+        WAL_BYTES.set(self.wal.bytes() as i64);
         Ok(bytes)
     }
 }
@@ -162,9 +164,9 @@ impl VersionedDatabase {
         }
     }
 
-    /// Opens (or creates) a durable database in `dir`, with the fsync
-    /// policy and snapshot cadence taken from the environment
-    /// (`NULLREL_FSYNC`, `NULLREL_SNAPSHOT_WAL_BYTES`).
+    /// Opens (or creates) a durable database in `dir` under the `fsync`
+    /// policy, snapshotting whenever the log reaches `snapshot_wal_bytes`
+    /// (0 = after every logged commit).
     ///
     /// Recovery replays the latest snapshot, then every complete,
     /// checksum-verified WAL record with an epoch past the snapshot's —
@@ -172,15 +174,6 @@ impl VersionedDatabase {
     /// which is then truncated away so fresh appends extend the verified
     /// prefix. The reopened database is identical to the live one at the
     /// last durable commit: rows, indexes, statistics, histograms, epoch.
-    pub fn open(dir: impl AsRef<Path>) -> StorageResult<VersionedDatabase> {
-        Self::open_with(
-            dir,
-            FsyncMode::from_env(),
-            parse_snapshot_wal_bytes(std::env::var("NULLREL_SNAPSHOT_WAL_BYTES").ok().as_deref()),
-        )
-    }
-
-    /// [`VersionedDatabase::open`] with explicit policy knobs.
     pub fn open_with(
         dir: impl AsRef<Path>,
         fsync: FsyncMode,
@@ -314,9 +307,10 @@ impl VersionedDatabase {
     /// clone, appends them as **one** checksummed WAL record, and only
     /// then publishes the next epoch. Returns the epoch and the rows
     /// affected by each op (0 for DDL). Atomic like [`commit`]: any op
-    /// failing discards the clone and appends nothing. When the log
-    /// reaches the snapshot threshold, a full snapshot lands (still
-    /// before publication) and the log is truncated.
+    /// failing discards the clone and appends nothing, and an `Err` from
+    /// the log or snapshot leaves nothing of the commit to replay. When
+    /// the log reaches the snapshot threshold, a full snapshot lands
+    /// (still before publication) and the log is truncated.
     ///
     /// Without durability attached this is simply `commit` with the op
     /// interpreter — the same code path replay uses, which is what makes
@@ -334,12 +328,14 @@ impl VersionedDatabase {
         let epoch = base.epoch + 1;
         if let Some(durability) = &self.durability {
             let mut d = durability.lock().unwrap_or_else(|e| e.into_inner());
-            let bytes = d.wal.append(epoch, ops)?;
-            WAL_RECORDS.inc();
-            WAL_BYTES.set(bytes as i64);
-            if bytes >= d.snapshot_wal_bytes {
-                d.write_snapshot(epoch, &db)?;
+            let start = d.wal.bytes();
+            if d.wal.append(epoch, ops)? >= d.snapshot_wal_bytes {
+                // A snapshot that does not land takes the record with it.
+                d.write_snapshot(epoch, &db)
+                    .inspect_err(|_| d.wal.rewind(start))?;
             }
+            WAL_RECORDS.inc();
+            WAL_BYTES.set(d.wal.bytes() as i64);
         }
         self.publish(Snapshot { epoch, db });
         Ok((epoch, affected))
@@ -398,7 +394,7 @@ pub static WAL_RECORDS: nullrel_obs::metrics::Counter = nullrel_obs::metrics::Co
 /// WAL records replayed during recovery.
 pub static WAL_RECORDS_REPLAYED: nullrel_obs::metrics::Counter = nullrel_obs::metrics::Counter::new(
     "nullrel_wal_records_replayed_total",
-    "Write-ahead-log records replayed by VersionedDatabase::open",
+    "Write-ahead-log records replayed by VersionedDatabase::open_with",
 );
 
 /// Torn or checksum-failed WAL tails skipped during recovery.

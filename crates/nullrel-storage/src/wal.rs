@@ -4,8 +4,8 @@
 //! Durability follows the classic discipline: every committed mutation is
 //! appended to `wal.log` as one **checksummed, length-prefixed record**
 //! *before* the commit's epoch publishes, and
-//! [`VersionedDatabase::open`](crate::VersionedDatabase::open) reconstructs
-//! the database by replaying the log over the latest full snapshot (see
+//! [`VersionedDatabase::open_with`](crate::VersionedDatabase::open_with)
+//! reconstructs the database by replaying the log over the latest full snapshot (see
 //! [`crate::persist`]). Records carry *logical* operations — insert,
 //! delete, update, schema evolution — rather than physical pages: the
 //! engine's state (rows, hash indexes, statistics reservoirs) is a
@@ -167,8 +167,8 @@ pub enum LogicalOp {
 /// rows it affected (0 for DDL). This is both the commit-time interpreter
 /// behind [`VersionedDatabase::commit_ops`](
 /// crate::VersionedDatabase::commit_ops) and the replay interpreter behind
-/// [`VersionedDatabase::open`](crate::VersionedDatabase::open) — one code
-/// path, so a replayed database cannot drift from the live one.
+/// [`VersionedDatabase::open_with`](crate::VersionedDatabase::open_with) —
+/// one code path, so a replayed database cannot drift from the live one.
 pub fn apply_op(db: &mut Database, op: &LogicalOp) -> StorageResult<u64> {
     match op {
         LogicalOp::CreateTable(spec) => {
@@ -747,6 +747,10 @@ pub struct Wal {
     bytes: u64,
     unsynced: u64,
     fsync: FsyncMode,
+    /// Set when a failed append could not be cut back off the log: its
+    /// record may still replay, so no later record may follow it until
+    /// the log is reopened (and recovery decides what it holds).
+    poisoned: bool,
 }
 
 impl Wal {
@@ -764,6 +768,7 @@ impl Wal {
             bytes,
             unsynced: 0,
             fsync,
+            poisoned: false,
         })
     }
 
@@ -780,26 +785,43 @@ impl Wal {
     /// Appends one framed, checksummed record and applies the configured
     /// fsync policy. On success the record is on its way to (or on,
     /// under `always`) stable storage — callers publish the epoch only
-    /// after this returns.
+    /// after this returns. On error the log is cut back to where the
+    /// record began, so nothing of it replays; if that cut fails, every
+    /// later append errors until the log is reopened.
     pub fn append(&mut self, epoch: u64, ops: &[LogicalOp]) -> StorageResult<u64> {
+        if self.poisoned {
+            return Err(StorageError::Io(
+                "write-ahead log holds an unacknowledged record; reopen the database".into(),
+            ));
+        }
         let payload = encode_payload(epoch, ops);
         let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD as usize);
         put_u32(&mut frame, payload.len() as u32);
         put_u64(&mut frame, fnv64(&payload));
         frame.extend_from_slice(&payload);
-        self.file.write_all(&frame).map_err(io_err)?;
-        self.bytes += frame.len() as u64;
-        self.unsynced += frame.len() as u64;
-        match self.fsync {
-            FsyncMode::Always => self.sync()?,
-            FsyncMode::CommitBatch => {
-                if self.unsynced >= COMMIT_BATCH_SYNC_BYTES {
-                    self.sync()?;
-                }
+        let start = self.bytes;
+        let written = self.file.write_all(&frame).map_err(io_err).and_then(|()| {
+            self.bytes += frame.len() as u64;
+            self.unsynced += frame.len() as u64;
+            match self.fsync {
+                FsyncMode::Always => self.sync(),
+                FsyncMode::CommitBatch if self.unsynced >= COMMIT_BATCH_SYNC_BYTES => self.sync(),
+                _ => Ok(()),
             }
-            FsyncMode::Off => {}
-        }
+        });
+        written.inspect_err(|_| self.rewind(start))?;
         Ok(self.bytes)
+    }
+
+    /// Cuts the log back to `offset` bytes — its size before a commit
+    /// whose later step failed — so that commit leaves nothing to replay.
+    /// The file is in append mode, so the next write lands at the new
+    /// end. If the cut fails the log is poisoned until reopen.
+    pub(crate) fn rewind(&mut self, offset: u64) {
+        match self.file.set_len(offset) {
+            Ok(()) => self.bytes = offset,
+            Err(_) => self.poisoned = true,
+        }
     }
 
     /// Forces everything appended so far to stable storage.

@@ -150,7 +150,7 @@ pub mod collection {
     use super::{test_runner::TestRng, Strategy};
     use std::ops::Range;
 
-    /// Sizes accepted by [`vec`]: an exact length or a half-open range.
+    /// Sizes accepted by [`vec()`]: an exact length or a half-open range.
     pub trait SizeRange {
         /// Draws a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -174,7 +174,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S, Z> {
         element: S,

@@ -402,3 +402,38 @@ fn closure_commits_are_made_durable_via_full_snapshot() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A commit that returns `Err` leaves nothing replayable. The WAL append
+/// succeeds, then the snapshot the zero-byte threshold asks for cannot be
+/// staged (a directory sits where its temporary file goes): the record
+/// must be cut back off the log, or a reopen would resurrect a commit
+/// that was never acknowledged.
+#[test]
+fn a_commit_whose_snapshot_fails_is_not_resurrected() {
+    let dir = scratch("failed-snapshot");
+    let vdb = VersionedDatabase::open_with(&dir, FsyncMode::Off, 0).unwrap();
+    vdb.commit_ops(&workload()[0]).unwrap();
+    assert_eq!(vdb.epoch(), 1);
+    let live = vdb.pin();
+
+    std::fs::create_dir(dir.join(persist::SNAPSHOT_TMP)).unwrap();
+    let row = insert("DEPT", &[("D#", Value::int(7))]);
+    assert!(vdb.commit_ops(std::slice::from_ref(&row)).is_err());
+    assert_eq!(vdb.epoch(), 1, "the failed commit published nothing");
+    assert_eq!(vdb.durability_status().unwrap().wal_bytes, 0);
+    drop(vdb);
+
+    let reopened = VersionedDatabase::open_with(&dir, FsyncMode::Off, 0).unwrap();
+    assert_eq!(reopened.epoch(), 1, "the failed commit is not replayed");
+    assert_same_database(live.db(), reopened.pin().db());
+
+    // Once the snapshot can land again, epoch 2 goes to the next commit.
+    std::fs::remove_dir(dir.join(persist::SNAPSHOT_TMP)).unwrap();
+    assert_eq!(reopened.commit_ops(&[row]).unwrap().0, 2);
+    drop(reopened);
+    let third = VersionedDatabase::open_with(&dir, FsyncMode::Off, 0).unwrap();
+    assert_eq!(third.epoch(), 2);
+    assert_eq!(third.pin().db().table("DEPT").unwrap().len(), 1);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -5,6 +5,8 @@
 //! must equal the serial `Minimize` reduction over *arbitrary*
 //! partitionings of its input.
 
+mod ps_fixtures;
+
 use proptest::prelude::*;
 
 use nullrel::core::algebra::{Expr, NoSource};
@@ -14,6 +16,7 @@ use nullrel::exec::{execute, OptimizeOptions, Parallelism};
 use nullrel::query::plan::plan_access;
 use nullrel::query::{execute_resolved_naive, parse, resolve};
 use nullrel::storage::{Database, SchemaBuilder};
+use ps_fixtures::{ps_database, QUEL_FIXTURES};
 
 /// Engine options pinned to `n` worker threads with fan-out forced on
 /// (threshold 0), so even the small paper fixtures exercise the
@@ -30,36 +33,6 @@ fn threads(n: usize) -> OptimizeOptions {
     }
 }
 
-/// The PS relation of display (6.6) — the null-heavy fixture of
-/// `tests/physical_differential.rs`.
-fn ps_database() -> Database {
-    let mut db = Database::new();
-    db.create_table(SchemaBuilder::new("PS").column("S#").column("P#"))
-        .unwrap();
-    let u = db.universe().clone();
-    let t = db.table_mut("PS").unwrap();
-    for (s, p) in [
-        (Some("s1"), Some("p1")),
-        (Some("s1"), Some("p2")),
-        (Some("s1"), None),
-        (Some("s2"), Some("p1")),
-        (Some("s2"), None),
-        (Some("s3"), None),
-        (None, Some("p4")),
-        (Some("s4"), Some("p4")),
-    ] {
-        let mut cells: Vec<(&str, Value)> = Vec::new();
-        if let Some(s) = s {
-            cells.push(("S#", Value::str(s)));
-        }
-        if let Some(p) = p {
-            cells.push(("P#", Value::str(p)));
-        }
-        t.insert_named(&u, &cells).unwrap();
-    }
-    db
-}
-
 /// Every QUEL fixture of the physical differential suite, executed at
 /// threads ∈ {1, 4}: both runs must equal the tree-walk oracle, and the
 /// `threads = 1` run must be byte-identical (results *and* operator
@@ -67,21 +40,7 @@ fn ps_database() -> Database {
 #[test]
 fn quel_fixtures_agree_at_every_degree() {
     let db = ps_database();
-    for text in [
-        "range of a is PS retrieve (a.S#)",
-        "range of a is PS retrieve (a.P#) where a.S# = \"s1\"",
-        "range of a is PS retrieve (a.S#) where a.P# = \"p1\"",
-        "range of a is PS retrieve (a.S#, a.P#) where a.P# != \"p1\"",
-        "range of a is PS retrieve (a.S#) where a.P# = \"p1\" or a.P# = \"p2\"",
-        "range of a is PS range of b is PS retrieve (a.S#, b.S#) where a.P# = b.P#",
-        "range of a is PS range of b is PS retrieve (a.S#) \
-         where a.P# = b.P# and b.S# = \"s2\"",
-        "range of a is PS range of b is PS retrieve (a.S#, b.P#) \
-         where a.S# = b.S# and a.P# != b.P#",
-        "range of a is PS range of b is PS retrieve (a.S#, b.P#) where a.S# = \"s1\"",
-        "range of a is PS range of b is PS range of c is PS retrieve (a.S#, c.P#) \
-         where a.P# = b.P# and b.S# = c.S#",
-    ] {
+    for text in QUEL_FIXTURES {
         let resolved = resolve(&db, &parse(text).unwrap()).unwrap();
         let expr = plan_access(&resolved);
         let oracle = XRelation::from_tuples(execute_resolved_naive(&resolved).unwrap().rows);

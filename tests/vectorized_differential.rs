@@ -2,21 +2,22 @@
 //! the physical and parallel differential suites must flow through the
 //! batch-at-a-time path — at batch sizes 1 and 1024, at threads 1 and 4,
 //! in the TRUE band and the MAYBE band — and produce **byte-identical**
-//! output to the tuple-at-a-time scalar engine and the tree-walk oracle.
-//! At threads = 1 the operator counters must also be identical to the
-//! scalar engine's, modulo the `batch=N` annotation alone.
+//! output at every batch size and degree, equal to the tree-walk oracle.
+//! At threads = 1 the operator counters must also be identical at every
+//! batch size, modulo the `batch=N` annotation alone.
+
+mod ps_fixtures;
 
 use nullrel::core::algebra::Expr;
 use nullrel::core::prelude::*;
 use nullrel::exec::{execute, OptimizeOptions, Parallelism};
 use nullrel::query::{execute_resolved_naive, parse, resolve, run};
 use nullrel::storage::{Database, SchemaBuilder};
+use ps_fixtures::{ps_database, QUEL_FIXTURES};
 
-/// Engine options: vectorization pinned on/off explicitly (the defaults
-/// read `NULLREL_VECTORIZE` / `NULLREL_BATCH_SIZE`, and this suite must
-/// test both paths regardless of the CI leg), fan-out forced on so the
+/// Engine options at one batch size and degree, fan-out forced on so the
 /// small paper fixtures still exercise the parallel operators.
-fn engine(vectorize: bool, batch: usize, threads: usize) -> OptimizeOptions {
+fn engine(batch: usize, threads: usize) -> OptimizeOptions {
     OptimizeOptions {
         parallelism: if threads <= 1 {
             Parallelism::Serial
@@ -24,15 +25,14 @@ fn engine(vectorize: bool, batch: usize, threads: usize) -> OptimizeOptions {
             Parallelism::Threads(threads)
         },
         parallel_row_threshold: 0,
-        vectorize,
         batch_size: batch,
         ..OptimizeOptions::default()
     }
 }
 
 /// Strips the vectorized path's `batch=N` annotations from an explain
-/// render, leaving the row counters — which must match the scalar plan's
-/// exactly.
+/// render, leaving the row counters — which must not depend on the batch
+/// size.
 fn strip_batch(render: &str) -> String {
     let mut out = String::new();
     let mut rest = render;
@@ -48,83 +48,36 @@ fn strip_batch(render: &str) -> String {
     out
 }
 
-/// The PS relation of display (6.6) — the null-heavy fixture shared with
-/// `tests/physical_differential.rs` and `tests/parallel_differential.rs`.
-fn ps_database() -> Database {
-    let mut db = Database::new();
-    db.create_table(SchemaBuilder::new("PS").column("S#").column("P#"))
-        .unwrap();
-    let u = db.universe().clone();
-    let t = db.table_mut("PS").unwrap();
-    for (s, p) in [
-        (Some("s1"), Some("p1")),
-        (Some("s1"), Some("p2")),
-        (Some("s1"), None),
-        (Some("s2"), Some("p1")),
-        (Some("s2"), None),
-        (Some("s3"), None),
-        (None, Some("p4")),
-        (Some("s4"), Some("p4")),
-    ] {
-        let mut cells: Vec<(&str, Value)> = Vec::new();
-        if let Some(s) = s {
-            cells.push(("S#", Value::str(s)));
-        }
-        if let Some(p) = p {
-            cells.push(("P#", Value::str(p)));
-        }
-        t.insert_named(&u, &cells).unwrap();
-    }
-    db
-}
-
-/// The QUEL fixtures of the physical differential suite.
-const QUEL_FIXTURES: &[&str] = &[
-    "range of a is PS retrieve (a.S#)",
-    "range of a is PS retrieve (a.P#) where a.S# = \"s1\"",
-    "range of a is PS retrieve (a.S#) where a.P# = \"p1\"",
-    "range of a is PS retrieve (a.S#, a.P#) where a.P# != \"p1\"",
-    "range of a is PS retrieve (a.S#) where a.P# = \"p1\" or a.P# = \"p2\"",
-    "range of a is PS range of b is PS retrieve (a.S#, b.S#) where a.P# = b.P#",
-    "range of a is PS range of b is PS retrieve (a.S#) \
-     where a.P# = b.P# and b.S# = \"s2\"",
-    "range of a is PS range of b is PS retrieve (a.S#, b.P#) \
-     where a.S# = b.S# and a.P# != b.P#",
-    "range of a is PS range of b is PS retrieve (a.S#, b.P#) where a.S# = \"s1\"",
-    "range of a is PS range of b is PS range of c is PS retrieve (a.S#, c.P#) \
-     where a.P# = b.P# and b.S# = c.S#",
-];
-
 /// Every QUEL fixture through the vectorized engine at batch ∈ {1, 1024}
-/// and threads ∈ {1, 4}: rows byte-identical to the scalar engine and the
-/// tree-walk oracle; at threads = 1 the operator counters too (modulo the
-/// `batch=N` annotation).
+/// and threads ∈ {1, 4}: rows byte-identical to the serial default-batch
+/// run, which equals the tree-walk oracle; at threads = 1 the operator
+/// counters too (modulo the `batch=N` annotation).
 #[test]
-fn quel_fixtures_vectorized_match_scalar_and_oracle() {
+fn quel_fixtures_agree_with_the_oracle_at_every_batch_size() {
     let db = ps_database();
     for text in QUEL_FIXTURES {
         let resolved = resolve(&db, &parse(text).unwrap()).unwrap();
         let oracle = XRelation::from_tuples(execute_resolved_naive(&resolved).unwrap().rows);
-        let scalar = run(&db, *text, Truth::True, engine(false, 1024, 1)).unwrap();
+        let reference = run(&db, *text, Truth::True, engine(1024, 1)).unwrap();
         assert_eq!(
-            XRelation::from_tuples(scalar.rows.clone()),
+            XRelation::from_tuples(reference.rows.clone()),
             oracle,
-            "scalar vs oracle on {text:?}"
+            "engine vs oracle on {text:?}"
         );
         for batch in [1, 1024] {
             for threads in [1, 4] {
-                let vec = run(&db, *text, Truth::True, engine(true, batch, threads)).unwrap();
+                let vec = run(&db, *text, Truth::True, engine(batch, threads)).unwrap();
                 assert_eq!(
                     vec.rows,
-                    scalar.rows,
+                    reference.rows,
                     "rows drifted on {text:?} at batch={batch} threads={threads}\nplan:\n{}",
                     vec.stats.render()
                 );
-                assert_eq!(vec.columns, scalar.columns, "{text:?}");
+                assert_eq!(vec.columns, reference.columns, "{text:?}");
                 if threads == 1 {
                     assert_eq!(
                         strip_batch(&vec.stats.render()),
-                        strip_batch(&scalar.stats.render()),
+                        strip_batch(&reference.stats.render()),
                         "counters drifted on {text:?} at batch={batch}"
                     );
                 }
@@ -137,7 +90,7 @@ fn quel_fixtures_vectorized_match_scalar_and_oracle() {
 /// vectorized engine, in the TRUE and MAYBE bands, at batch ∈ {1, 1024}
 /// and threads ∈ {1, 4}.
 #[test]
-fn algebra_fixtures_vectorized_match_scalar_in_both_bands() {
+fn algebra_fixtures_agree_at_every_batch_size_in_both_bands() {
     let db = ps_database();
     let u = db.universe().clone();
     let s = u.lookup("S#").unwrap();
@@ -161,17 +114,17 @@ fn algebra_fixtures_vectorized_match_scalar_in_both_bands() {
     for (i, expr) in fixtures.iter().enumerate() {
         let oracle = expr.eval(&db).unwrap();
         for band in [Truth::True, Truth::Ni] {
-            let (scalar, _) = execute(expr, &db, &u, band, engine(false, 1024, 1)).unwrap();
+            let (reference, _) = execute(expr, &db, &u, band, engine(1024, 1)).unwrap();
             if band == Truth::True {
-                assert_eq!(scalar, oracle, "fixture {i} scalar vs oracle");
+                assert_eq!(reference, oracle, "fixture {i} engine vs oracle");
             }
             for batch in [1, 1024] {
                 for threads in [1, 4] {
                     let (vec, stats) =
-                        execute(expr, &db, &u, band, engine(true, batch, threads)).unwrap();
+                        execute(expr, &db, &u, band, engine(batch, threads)).unwrap();
                     assert_eq!(
                         vec,
-                        scalar,
+                        reference,
                         "fixture {i} {band:?} band at batch={batch} threads={threads}\nplan:\n{}",
                         stats.render()
                     );
@@ -181,11 +134,11 @@ fn algebra_fixtures_vectorized_match_scalar_in_both_bands() {
     }
 }
 
-/// A scan-heavy workload big enough to split into many batches: the
-/// vectorized rows and counters still match the scalar engine exactly,
-/// and under 4 threads the batch tasks really fan out on the pool.
+/// A scan-heavy workload big enough to split into many batches: the rows
+/// and counters still match one-row batches exactly, and under 4 threads
+/// the batch tasks really fan out on the pool.
 #[test]
-fn large_scan_splits_into_batches_and_matches_scalar() {
+fn large_scan_splits_into_batches_and_matches_one_row_batches() {
     let mut db = Database::new();
     db.create_table(
         SchemaBuilder::new("EMP")
@@ -204,14 +157,15 @@ fn large_scan_splits_into_batches_and_matches_scalar() {
         t.insert_named(&u, &cells).unwrap();
     }
     let text = "range of e is EMP retrieve (e.E#) where e.MGR# > 30";
-    let scalar = run(&db, text, Truth::True, engine(false, 64, 1)).unwrap();
+    let one_row = run(&db, text, Truth::True, engine(1, 1)).unwrap();
     for threads in [1, 4] {
-        let vec = run(&db, text, Truth::True, engine(true, 64, threads)).unwrap();
-        assert_eq!(vec.rows, scalar.rows, "threads={threads}");
+        let vec = run(&db, text, Truth::True, engine(64, threads)).unwrap();
+        assert_eq!(vec.rows, one_row.rows, "threads={threads}");
+        assert!(vec.stats.batches() > 1, "{}", vec.stats.render());
         if threads == 1 {
             assert_eq!(
                 strip_batch(&vec.stats.render()),
-                strip_batch(&scalar.stats.render())
+                strip_batch(&one_row.stats.render())
             );
         } else {
             assert_eq!(
